@@ -1,7 +1,7 @@
 """Fairness testing for tabular classifiers with causally guided perturbation."""
 
 from .data import Dataset, Schema, ValueDomain, feature_domain, load_csv, split_train_test
-from .models import ModelConfig, ModelUnderTest, input_gradient, predict, train
+from .models import ModelConfig, ModelUnderTest, input_gradient, train
 from .causal import (
     CausalEffect,
     CausalGraph,
@@ -20,8 +20,6 @@ from .generators import (
     TestSuite,
     is_relaxed_idi,
     is_true_idi,
-    perturb_values,
-    repair_invalid,
     run_base_generator,
     run_causalft,
 )
@@ -63,9 +61,6 @@ __all__ = [
     "is_true_idi",
     "load_csv",
     "mann_whitney_u",
-    "perturb_values",
-    "predict",
-    "repair_invalid",
     "retrain_and_retest",
     "run_base_generator",
     "run_causalft",

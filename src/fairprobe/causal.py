@@ -68,9 +68,6 @@ class CausalGraph:
     def edge_weight(self, src: str, dst: str) -> float:
         return float(self.weights[self.node_index(dst), self.node_index(src)])
 
-    def n_edges(self) -> int:
-        return int(np.count_nonzero(self.weights))
-
     def is_acyclic(self) -> bool:
         pos = {node: p for p, node in enumerate(self.topo_order)}
         js, is_ = np.nonzero(self.weights)

@@ -6,6 +6,11 @@ correlation selector), generate suites with and without guidance, compute the
 fairness metrics, compare the modes statistically, and write machine-readable
 reports. Wall-clock timings go to a separate file so the canonical report is
 byte-identical across repeated runs of the same config.
+
+Each stage runs once at the level where its inputs change: one split and one
+causal graph per run index, one selection per sensitive feature, one training
+per model, and the suites per generator. `analyze` and `retrain` report run
+index 0 of that same pipeline.
 """
 
 from __future__ import annotations
@@ -19,23 +24,23 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .causal import (
+    CausalEffect,
     bootstrap_effect,
     direct_features,
     discover_graph,
     select_causal_feature,
     select_correlation_feature,
 )
-from .data import Dataset, Schema, load_csv, split_train_test
-from .errors import FairprobeError, NoDirectFeature
+from .data import Dataset, Schema, load_csv, split_train_test, subsample
+from .errors import ConfigInvalid, FairprobeError, NoDirectFeature
 from .generators import GeneratorSpec, run_base_generator, run_causalft
 from .metrics import GroupRule, build_report
-from .models import ModelConfig, train
+from .models import ModelConfig, ModelUnderTest, train
 from .retrain import correct_pairs, model_quality, retrain_and_retest
 from .stats import compare
 
@@ -47,7 +52,6 @@ OUTPUT_DIR_ENV = "FAIRPROBE_OUT"
 SELECTOR_CAUSAL = "causal"
 SELECTOR_CORRELATION = "correlation"
 SELECTOR_NONE = "none"
-
 
 @dataclass
 class ExperimentConfig:
@@ -72,22 +76,35 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+            raise ConfigInvalid("budget must be >= 0")
         if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ConfigInvalid("runs must be >= 1")
         if not (0.0 < self.k_percent <= 100.0):
-            raise ValueError("k_percent must lie in (0, 100]")
+            raise ConfigInvalid("k_percent must lie in (0, 100]")
         if self.selector not in (SELECTOR_CAUSAL, SELECTOR_CORRELATION, SELECTOR_NONE):
-            raise ValueError(f"unknown selector {self.selector!r}")
+            raise ConfigInvalid(f"unknown selector {self.selector!r}")
         if not self.sensitive:
-            raise ValueError("at least one sensitive feature is required")
+            raise ConfigInvalid("at least one sensitive feature is required")
         if not self.models or not self.generators:
-            raise ValueError("need at least one model and one generator")
+            raise ConfigInvalid("need at least one model and one generator")
+        for doc in self.generators:
+            _generator_spec(doc)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        cfg = cls(**doc)
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigInvalid(f"{path} must hold a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigInvalid(f"unknown config keys: {', '.join(unknown)}")
+        try:
+            cfg = cls(**doc)
+        except TypeError as exc:  # a required key is missing
+            raise ConfigInvalid(str(exc)) from None
         cfg.validate()
         return cfg
 
@@ -118,16 +135,16 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _model_config(doc: dict, seed: int) -> ModelConfig:
-    fields = {k: v for k, v in doc.items() if k != "name"}
-    fields.setdefault("seed", 0)
-    cfg = ModelConfig.from_dict(fields)
-    return replace(cfg, seed=seed)
+def _case_name(doc: dict, fallback: str) -> str:
+    return doc.get("name", doc.get("kind", fallback))
 
 
 def _generator_spec(doc: dict) -> GeneratorSpec:
-    fields = {k: v for k, v in doc.items() if k != "name"}
-    return GeneratorSpec(**fields)
+    params = {k: v for k, v in doc.items() if k != "name"}
+    try:
+        return GeneratorSpec(**params)
+    except TypeError as exc:  # unknown or missing generator keys
+        raise ConfigInvalid(f"generator {_case_name(doc, '?')!r}: {exc}") from None
 
 
 def _group_rule(config: ExperimentConfig, dataset: Dataset, feature: str) -> GroupRule:
@@ -142,60 +159,95 @@ def _group_rule(config: ExperimentConfig, dataset: Dataset, feature: str) -> Gro
     )
 
 
-def _k_subsample(train: Dataset, k_percent: float, seed: int) -> Dataset:
-    if k_percent >= 100.0:
-        return train
-    n_keep = max(1, int(round(train.n_rows * k_percent / 100.0)))
-    idx = np.sort(np.random.default_rng(seed).permutation(train.n_rows)[:n_keep])
-    from .data import _subset
+def _load(config: ExperimentConfig) -> Dataset:
+    return load_csv(config.dataset, Schema.from_json(config.schema))
 
-    return _subset(train, idx)
+
+class _RunState:
+    """What one run index shares across every case.
+
+    The split and, for the causal selector, the graph are made on
+    construction. Each model and each sensitive feature's selection is
+    computed on first use and then reused: by every case of the run, and at
+    run index 0 by `analyze` and `retrain`.
+    """
+
+    def __init__(self, config: ExperimentConfig, dataset: Dataset, run_idx: int):
+        self.config = config
+        self.dataset = dataset
+        self.seed = derive_seed(config.seed, "run", run_idx)
+        self.train, self.test = split_train_test(dataset, config.train_fraction, self.seed)
+        self.analysis_data = self.train
+        self.graph = None
+        if config.selector == SELECTOR_CAUSAL:
+            self.analysis_data = subsample(
+                self.train, config.k_percent, derive_seed(self.seed, "k")
+            )
+            # the fit ignores the sensitive feature beyond checking its name
+            self.graph = discover_graph(
+                self.analysis_data,
+                config.sensitive[0],
+                seed=self.seed,
+                edge_threshold=config.edge_threshold,
+            )
+        self._models: dict[int, tuple[ModelConfig, ModelUnderTest]] = {}
+        self._selections: dict[str, tuple] = {}
+
+    def model(self, index: int) -> tuple[ModelConfig, ModelUnderTest]:
+        """The index-th configured model, trained on this run's split."""
+        if index not in self._models:
+            cfg = replace(ModelConfig.from_dict(self.config.models[index]), seed=self.seed)
+            self._models[index] = (cfg, train(self.train, cfg))
+        return self._models[index]
+
+    def selection(self, sensitive: str) -> tuple[str | None, dict, list[CausalEffect]]:
+        """`_select_feature` for the sensitive feature on this run's graph."""
+        if sensitive not in self._selections:
+            self._selections[sensitive] = _select_feature(self.config, self, sensitive)
+        return self._selections[sensitive]
 
 
 def _select_feature(
-    config: ExperimentConfig, train: Dataset, sensitive: str, seed: int
-) -> tuple[str | None, dict]:
-    """Pick the guidance feature per the configured selector.
+    config: ExperimentConfig, run: _RunState, sensitive: str
+) -> tuple[str | None, dict, list[CausalEffect]]:
+    """Pick the guidance feature per the configured selector, on the run's
+    already-fitted graph.
 
-    Returns (feature name or None, analysis detail dict)."""
+    Returns (feature name or None, analysis detail dict, causal effects)."""
     detail: dict = {"selector": config.selector}
     if config.selector == SELECTOR_NONE:
-        return None, detail
+        return None, detail, []
     if config.selector == SELECTOR_CORRELATION:
-        picked = select_correlation_feature(train, sensitive)
+        picked = select_correlation_feature(run.train, sensitive)
         detail["selected"] = picked
-        return picked, detail
+        return picked, detail, []
 
-    analysis_data = _k_subsample(train, config.k_percent, derive_seed(seed, "k"))
-    graph = discover_graph(
-        analysis_data, sensitive, seed=seed, edge_threshold=config.edge_threshold
-    )
-    direct = direct_features(graph, sensitive, graph.label)
-    detail["direct_features"] = list(direct)
-    effects = []
-    for candidate in direct:
-        eff = bootstrap_effect(
-            graph,
-            analysis_data,
+    data = run.analysis_data
+    direct = direct_features(run.graph, sensitive, run.graph.label)
+    effects = [
+        bootstrap_effect(
+            run.graph,
+            data,
             sensitive,
             candidate,
-            m=min(config.m, analysis_data.n_rows),
+            m=min(config.m, data.n_rows),
             repeats=config.bootstrap_repeats,
-            seed=derive_seed(seed, "effect", candidate),
+            seed=derive_seed(run.seed, "effect", sensitive, candidate),
         )
-        effects.append(eff)
+        for candidate in direct
+    ]
+    detail["direct_features"] = list(direct)
     detail["effects"] = {e.feature: e.effect for e in effects}
     try:
-        picked = select_causal_feature(effects, order=train.schema.feature_names)
+        picked = select_causal_feature(effects, order=data.schema.feature_names)
     except NoDirectFeature:
-        detail["selected"] = None
-        return None, detail
+        picked = None
     detail["selected"] = picked
-    return picked, detail
+    return picked, detail, effects
 
 
-def _suite_summary(suite, report) -> dict:
-    doc = report.to_dict()
+def _suite_summary(suite, model: ModelUnderTest, test_data: Dataset, rule: GroupRule) -> dict:
+    doc = build_report(suite, model, test_data, rule).to_dict()
     doc["ledger"] = suite.ledger.to_dict()
     doc["used_fallback"] = suite.used_fallback
     doc["budget_reached"] = suite.budget_reached
@@ -203,7 +255,7 @@ def _suite_summary(suite, report) -> dict:
 
 
 def _aggregate(values: list) -> dict:
-    clean = [v for v in values if v is not None and not (isinstance(v, float) and math.isnan(v))]
+    clean = [v for v in values if v is not None]
     if not clean:
         return {"mean": None, "std": None}
     mean = sum(clean) / len(clean)
@@ -223,18 +275,81 @@ def _mode_block(run_docs: list[dict]) -> dict:
     return block
 
 
-def _compare_modes(guided: list[dict], base: list[dict]) -> dict:
+def _compare_modes(runs_a: list[dict], runs_b: list[dict]) -> dict:
+    """Per metric, compare a against b over the runs that have a value, or
+    None when either side has fewer than two."""
     out = {}
     for metric in ("idi_ratio", "eod", "spd"):
-        a = [doc[metric] for doc in guided if doc[metric] is not None]
-        b = [doc[metric] for doc in base if doc[metric] is not None]
-        a = [v for v in a if not (isinstance(v, float) and math.isnan(v))]
-        b = [v for v in b if not (isinstance(v, float) and math.isnan(v))]
-        if len(a) >= 2 and len(b) >= 2:
-            out[metric] = compare(a, b).to_dict()
-        else:
-            out[metric] = None
+        a = [doc[metric] for doc in runs_a if doc[metric] is not None]
+        b = [doc[metric] for doc in runs_b if doc[metric] is not None]
+        out[metric] = compare(a, b).to_dict() if len(a) >= 2 and len(b) >= 2 else None
     return out
+
+
+@contextmanager
+def _timed(totals: dict, key: str):
+    t0 = time.perf_counter()
+    yield
+    totals[key] = totals.get(key, 0.0) + time.perf_counter() - t0
+
+
+def _run_pipeline(config: ExperimentConfig) -> tuple[dict, dict, _RunState]:
+    """Every sensitive feature x model x generator case, over all run indices.
+
+    Returns (report document, timings document, run index 0's state).
+    """
+    config.validate()
+    dataset = _load(config)
+    schema = dataset.schema
+    dataset_name = Path(config.dataset).stem
+    generators = [(_case_name(doc, "generator"), _generator_spec(doc)) for doc in config.generators]
+
+    cases: dict[str, dict] = {}
+    timings: dict = {"generation_s": {}}
+    first = None
+    for run_idx in range(config.runs):
+        with _timed(timings, "prepare_s"):
+            run = _RunState(config, dataset, run_idx)
+        first = first or run
+        for sensitive in config.sensitive:
+            s_idx = schema.index(sensitive)
+            rule = _group_rule(config, dataset, sensitive)
+            with _timed(timings, "analysis_s"):
+                guide, detail, _ = run.selection(sensitive)
+            c_idx = schema.index(guide) if guide is not None else None
+            for m_idx, model_doc in enumerate(config.models):
+                with _timed(timings, "train_s"):
+                    _, model = run.model(m_idx)
+                for gen_name, spec in generators:
+                    case_key = f"{dataset_name}/{sensitive}/{_case_name(model_doc, 'model')}/{gen_name}"
+                    case = cases.setdefault(case_key, {"base": [], "causalft": [], "analysis": []})
+                    case["analysis"].append(detail)
+                    seed = derive_seed(config.seed, case_key, run_idx)
+                    with _timed(timings["generation_s"], case_key):
+                        suite = run_base_generator(
+                            spec, model, run.test, s_idx, config.budget,
+                            derive_seed(seed, "base"), domains=dataset.domains,
+                        )
+                        case["base"].append(_suite_summary(suite, model, run.test, rule))
+                        if config.selector != SELECTOR_NONE:
+                            suite = run_causalft(
+                                spec, model, run.test, s_idx, c_idx, config.budget,
+                                derive_seed(seed, "guided"), domains=dataset.domains,
+                            )
+                            case["causalft"].append(_suite_summary(suite, model, run.test, rule))
+
+    report: dict = {
+        "report_version": REPORT_VERSION,
+        "config": config.to_dict(),
+        "cases": {},
+    }
+    for case_key, case in cases.items():
+        doc: dict = {"analysis": case["analysis"], "modes": {"base": _mode_block(case["base"])}}
+        if case["causalft"]:
+            doc["modes"]["causalft"] = _mode_block(case["causalft"])
+            doc["comparisons"] = _compare_modes(case["causalft"], case["base"])
+        report["cases"][case_key] = doc
+    return report, timings, first
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[dict, dict]:
@@ -243,87 +358,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, dict]:
     Returns (report document, timings document). The report carries per-run
     metrics and ledgers, per-mode aggregates, and guided-vs-base comparisons.
     """
-    config.validate()
-    schema = Schema.from_json(config.schema)
-    dataset = load_csv(config.dataset, schema)
-    dataset_name = Path(config.dataset).stem
-
-    report: dict = {
-        "report_version": REPORT_VERSION,
-        "config": config.to_dict(),
-        "cases": {},
-    }
-    timings: dict = {}
-
-    for sensitive in config.sensitive:
-        s_idx = schema.index(sensitive)
-        rule = _group_rule(config, dataset, sensitive)
-        for model_doc in config.models:
-            model_name = model_doc.get("name", model_doc.get("kind", "model"))
-            for gen_doc in config.generators:
-                gen_name = gen_doc.get("name", gen_doc.get("kind", "generator"))
-                case_key = f"{dataset_name}/{sensitive}/{model_name}/{gen_name}"
-                spec = _generator_spec(gen_doc)
-
-                base_runs, guided_runs = [], []
-                analysis_details = []
-                t_analysis = t_generation = 0.0
-                for run_idx in range(config.runs):
-                    run_seed = derive_seed(config.seed, case_key, run_idx)
-                    train_data, test_data = split_train_test(
-                        dataset, config.train_fraction, run_seed
-                    )
-                    model = train(train_data, _model_config(model_doc, run_seed))
-
-                    t0 = time.perf_counter()
-                    guide, detail = _select_feature(config, train_data, sensitive, run_seed)
-                    t_analysis += time.perf_counter() - t0
-                    analysis_details.append(detail)
-
-                    t0 = time.perf_counter()
-                    base_suite = run_base_generator(
-                        spec,
-                        model,
-                        test_data,
-                        s_idx,
-                        config.budget,
-                        derive_seed(run_seed, "base"),
-                        domains=dataset.domains,
-                    )
-                    base_runs.append(
-                        _suite_summary(
-                            base_suite, build_report(base_suite, model, test_data, rule)
-                        )
-                    )
-                    if config.selector != SELECTOR_NONE:
-                        guided_suite = run_causalft(
-                            spec,
-                            model,
-                            test_data,
-                            s_idx,
-                            schema.index(guide) if guide is not None else None,
-                            config.budget,
-                            derive_seed(run_seed, "guided"),
-                            domains=dataset.domains,
-                        )
-                        guided_runs.append(
-                            _suite_summary(
-                                guided_suite,
-                                build_report(guided_suite, model, test_data, rule),
-                            )
-                        )
-                    t_generation += time.perf_counter() - t0
-
-                case: dict = {"modes": {"base": _mode_block(base_runs)}}
-                case["analysis"] = analysis_details
-                if guided_runs:
-                    case["modes"]["causalft"] = _mode_block(guided_runs)
-                    case["comparisons"] = _compare_modes(guided_runs, base_runs)
-                report["cases"][case_key] = case
-                timings[case_key] = {
-                    "analysis_s": t_analysis,
-                    "generation_s": t_generation,
-                }
+    report, timings, _ = _run_pipeline(config)
     return report, timings
 
 
@@ -348,13 +383,20 @@ _CSV_COLUMNS = [
 ]
 
 
+def _json_text(doc) -> str:
+    """Strict JSON: a NaN or infinity raises instead of being written."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(_json_text(doc), encoding="utf-8")
+
+
 def emit_report(report: dict, out_dir: str | Path, timings: dict | None = None) -> dict:
     """Write report.json plus a flat report.csv; timings go to timings.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json", report)
     with (out / "report.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
@@ -383,9 +425,7 @@ def emit_report(report: dict, out_dir: str | Path, timings: dict | None = None) 
                 ]
                 writer.writerow(row)
     if timings is not None:
-        (out / "timings.json").write_text(
-            json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(out / "timings.json", timings)
     return {
         "report_json": str(out / "report.json"),
         "report_csv": str(out / "report.csv"),
@@ -403,67 +443,39 @@ def _resolve_out(config_dir: str, override: str | None) -> Path:
 
 def cmd_test(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    report, timings = run_experiment(config)
+    report, timings, first = _run_pipeline(config)
     out = _resolve_out(config.output_dir, args.out)
     paths = emit_report(report, out, timings)
     if config.run_retrain:
         for sensitive in config.sensitive:
-            doc = _retrain_case(config, sensitive)
             target = out / f"retrain_{sensitive}.json"
-            target.write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            _write_json(target, _retrain_case(first, sensitive))
             paths[f"retrain_{sensitive}"] = str(target)
     print(json.dumps(paths, indent=2))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    schema = Schema.from_json(config.schema)
-    dataset = load_csv(config.dataset, schema)
+    # analysis is causal whatever selector the config names
+    config = replace(ExperimentConfig.from_json(args.config), selector=SELECTOR_CAUSAL)
+    run = _RunState(config, _load(config), 0)
     out = _resolve_out(config.output_dir, args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     doc: dict = {}
-    run_seed = derive_seed(config.seed, "analyze")
-    train_data, _ = split_train_test(dataset, config.train_fraction, run_seed)
     for sensitive in config.sensitive:
-        analysis_data = _k_subsample(train_data, config.k_percent, derive_seed(run_seed, "k"))
-        graph = discover_graph(
-            analysis_data, sensitive, seed=run_seed, edge_threshold=config.edge_threshold
-        )
-        graph.write_edges(out / f"graph_{sensitive}.csv")
-        direct = direct_features(graph, sensitive, graph.label)
-        effects = []
-        for candidate in direct:
-            effects.append(
-                bootstrap_effect(
-                    graph,
-                    analysis_data,
-                    sensitive,
-                    candidate,
-                    m=min(config.m, analysis_data.n_rows),
-                    repeats=config.bootstrap_repeats,
-                    seed=derive_seed(run_seed, "effect", candidate),
-                )
-            )
+        run.graph.write_edges(out / f"graph_{sensitive}.csv")
+        _, detail, effects = run.selection(sensitive)
         doc[sensitive] = {
-            "direct_features": list(direct),
+            "direct_features": detail["direct_features"],
             "effects": {
                 e.feature: {"median": e.effect, "repeats": list(e.raw_repeats)}
                 for e in effects
             },
-            "correlation_pick": select_correlation_feature(train_data, sensitive),
-            "selected": (
-                select_causal_feature(effects, order=schema.feature_names)
-                if effects
-                else None
-            ),
+            "correlation_pick": select_correlation_feature(run.train, sensitive),
+            "selected": detail["selected"],
         }
-    (out / "analyze.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "analyze.json", doc)
     print(json.dumps({"analyze_json": str(out / "analyze.json")}, indent=2))
     return 0
 
@@ -472,72 +484,52 @@ def cmd_compare(args) -> int:
     doc_a = json.loads(Path(args.report_a).read_text(encoding="utf-8"))
     doc_b = json.loads(Path(args.report_b).read_text(encoding="utf-8"))
     out_doc = {}
-    shared = sorted(set(doc_a["cases"]) & set(doc_b["cases"]))
-    for case_key in shared:
-        out_doc[case_key] = {}
-        modes = set(doc_a["cases"][case_key]["modes"]) & set(
-            doc_b["cases"][case_key]["modes"]
-        )
-        for mode in sorted(modes):
-            runs_a = doc_a["cases"][case_key]["modes"][mode]["runs"]
-            runs_b = doc_b["cases"][case_key]["modes"][mode]["runs"]
-            per_metric = {}
-            for metric in ("idi_ratio", "eod", "spd"):
-                a = [r[metric] for r in runs_a if r[metric] is not None]
-                b = [r[metric] for r in runs_b if r[metric] is not None]
-                per_metric[metric] = (
-                    compare(a, b).to_dict() if len(a) >= 2 and len(b) >= 2 else None
-                )
-            out_doc[case_key][mode] = per_metric
-    text = json.dumps(out_doc, indent=2, sort_keys=True)
+    for case_key in sorted(set(doc_a["cases"]) & set(doc_b["cases"])):
+        modes_a = doc_a["cases"][case_key]["modes"]
+        modes_b = doc_b["cases"][case_key]["modes"]
+        out_doc[case_key] = {
+            mode: _compare_modes(modes_a[mode]["runs"], modes_b[mode]["runs"])
+            for mode in sorted(set(modes_a) & set(modes_b))
+        }
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write_json(Path(args.out), out_doc)
     else:
-        print(text)
+        sys.stdout.write(_json_text(out_doc))
     return 0
 
 
-def _retrain_case(config: ExperimentConfig, sensitive: str) -> dict:
-    """Correct the discovered pairs of one case, retrain, and re-test; uses
-    the first configured model and generator."""
-    schema = Schema.from_json(config.schema)
-    dataset = load_csv(config.dataset, schema)
-    s_idx = schema.index(sensitive)
+def _retrain_case(run: _RunState, sensitive: str) -> dict:
+    """Correct the discovered pairs of one sensitive feature, retrain, and
+    re-test, on the run's split with its first model, its selection for that
+    feature, and the first configured generator."""
+    config, dataset = run.config, run.dataset
+    s_idx = dataset.schema.index(sensitive)
     rule = _group_rule(config, dataset, sensitive)
     spec = _generator_spec(config.generators[0])
+    model_cfg, model = run.model(0)
+    guide, detail, _ = run.selection(sensitive)
+    c_idx = dataset.schema.index(guide) if guide is not None else None
 
-    run_seed = derive_seed(config.seed, "retrain", sensitive)
-    train_data, test_data = split_train_test(dataset, config.train_fraction, run_seed)
-    model_cfg = _model_config(config.models[0], run_seed)
-    model = train(train_data, model_cfg)
-    guide, detail = _select_feature(config, train_data, sensitive, run_seed)
-    c_idx = schema.index(guide) if guide is not None else None
-
+    seed = derive_seed(run.seed, "retrain", sensitive)
     suite = run_causalft(
-        spec, model, test_data, s_idx, c_idx, config.budget,
-        derive_seed(run_seed, "corrections"), domains=dataset.domains,
+        spec, model, run.test, s_idx, c_idx, config.budget,
+        derive_seed(seed, "corrections"), domains=dataset.domains,
     )
-    corrections = correct_pairs(suite, model, test_data)
-    before, after = retrain_and_retest(
+    corrections = correct_pairs(suite, model, run.test)
+    before, after, retrained = retrain_and_retest(
         model_cfg,
-        train_data,
+        run.train,
         corrections,
-        test_data,
+        run.test,
         s_idx,
         c_idx,
         spec,
         config.retrain_budget or config.budget,
         config.runs,
-        derive_seed(run_seed, "retest"),
+        derive_seed(seed, "retest"),
         rule,
         old_model=model,
         domains=dataset.domains,
-    )
-    from .retrain import augment_training_data
-
-    retrained = train(
-        augment_training_data(train_data, corrections),
-        replace(model_cfg, seed=model_cfg.seed + 1),
     )
     return {
         "sensitive": sensitive,
@@ -545,8 +537,8 @@ def _retrain_case(config: ExperimentConfig, sensitive: str) -> dict:
         "corrections": len(corrections),
         "before": [r.to_dict() for r in before],
         "after": [r.to_dict() for r in after],
-        "quality_before": model_quality(model, test_data),
-        "quality_after": model_quality(retrained, test_data),
+        "quality_before": model_quality(model, run.test),
+        "quality_after": model_quality(retrained, run.test),
         "analysis": detail,
     }
 
@@ -556,10 +548,8 @@ def cmd_retrain(args) -> int:
     out = _resolve_out(config.output_dir, args.out)
     out.mkdir(parents=True, exist_ok=True)
     sensitive = args.sensitive or config.sensitive[0]
-    doc = _retrain_case(config, sensitive)
-    (out / "retrain.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    doc = _retrain_case(_RunState(config, _load(config), 0), sensitive)
+    _write_json(out / "retrain.json", doc)
     print(json.dumps({"retrain_json": str(out / "retrain.json")}, indent=2))
     return 0
 

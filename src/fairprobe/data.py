@@ -199,20 +199,6 @@ class Dataset:
         if self.is_empty:
             raise EmptyData(f"{context} has no rows")
 
-    def decode_rows(self) -> list[list[str]]:
-        """Original string values per row (integers rendered via str)."""
-        out = []
-        for row in self.rows:
-            decoded = []
-            for j, name in enumerate(self.schema.feature_names):
-                code = int(row[j])
-                if self.schema.declared_kinds[name] == KIND_CATEGORICAL:
-                    decoded.append(self.decode_maps[name][code])
-                else:
-                    decoded.append(str(code))
-            out.append(decoded)
-        return out
-
 
 def _observed_domains(rows: np.ndarray, schema: Schema) -> tuple[ValueDomain, ...]:
     domains = []
@@ -357,6 +343,16 @@ def _subset(dataset: Dataset, idx: np.ndarray) -> Dataset:
         domains=_observed_domains(rows, dataset.schema) if len(idx) else None,
         decode_maps=dataset.decode_maps,
     )
+
+
+def subsample(dataset: Dataset, k_percent: float, seed: int) -> Dataset:
+    """round(k_percent% of the rows), at least one, drawn without replacement
+    under the seed and kept in file order; the dataset itself at 100%."""
+    if k_percent >= 100.0:
+        return dataset
+    n_keep = max(1, int(round(dataset.n_rows * k_percent / 100.0)))
+    idx = np.sort(np.random.default_rng(seed).permutation(dataset.n_rows)[:n_keep])
+    return _subset(dataset, idx)
 
 
 def split_train_test(

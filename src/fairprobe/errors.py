@@ -30,11 +30,12 @@ class UnknownFeature(FairprobeError):
     pass
 
 
-# models
-class ConfigInvalid(FairprobeError):
+# configuration (also a ValueError, as invalid parameter values are)
+class ConfigInvalid(FairprobeError, ValueError):
     pass
 
 
+# models
 class WidthMismatch(FairprobeError):
     pass
 

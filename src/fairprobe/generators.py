@@ -14,16 +14,14 @@ fixed set.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .data import Dataset, ValueDomain
-from .errors import EmptyData, EmptyDomain, IndexCollision, WidthMismatch
+from .errors import ConfigInvalid, EmptyData, IndexCollision, WidthMismatch
 from .models import ModelUnderTest, input_gradient
 
 log = logging.getLogger(__name__)
@@ -69,9 +67,9 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+            raise ConfigInvalid(f"unknown generator kind {self.kind!r}")
         if self.local_steps <= 0 or self.step_size <= 0 or self.max_attempts_per_pair <= 0:
-            raise ValueError("generator parameters must be positive")
+            raise ConfigInvalid("generator parameters must be positive")
 
 
 @dataclass
@@ -114,12 +112,6 @@ class TestSuite:
         return np.asarray(self.unique_samples, dtype=np.int64).reshape(
             len(self.unique_samples), -1
         )
-
-    def export(self, path: str | Path) -> None:
-        lines = [",".join(str(v) for v in s) for s in self.unique_samples]
-        lines.append("#LEDGER")
-        lines.append(json.dumps(self.ledger.to_dict(), sort_keys=True))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _as_vec(sample) -> np.ndarray:
@@ -171,29 +163,6 @@ def is_relaxed_idi(pair: Pair, model: ModelUnderTest, sensitive: int, causal: in
         return False
     labels, _ = model.predict_batch(np.stack([a, b]).astype(float))
     return labels[0] != labels[1]
-
-
-def perturb_values(
-    sample,
-    mutable_features: Sequence[int],
-    domains: Sequence[ValueDomain],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Resample every mutable index uniformly within its domain.
-
-    The new value differs from the old one unless the domain is a singleton;
-    immutable indices are untouched. No direction is preferred.
-    """
-    vec = _as_vec(sample).copy()
-    for idx in mutable_features:
-        if idx >= len(domains) or domains[idx] is None:
-            raise EmptyDomain(f"no domain for feature index {idx}")
-        dom = domains[idx]
-        if dom.size == 1:
-            vec[idx] = dom.as_tuple()[0]
-        else:
-            vec[idx] = dom.sample_excluding(rng, int(vec[idx]))
-    return vec
 
 
 class _TestIndex:
@@ -256,32 +225,6 @@ def _find_true_partners(
             )
         )
     return pairs, failed
-
-
-def repair_invalid(
-    pair: Pair,
-    test_data: Dataset,
-    model: ModelUnderTest,
-    sensitive: int,
-    rng: np.random.Generator,
-) -> tuple[list[Pair], int]:
-    """Re-pair the members of a relaxed-valid-but-true-invalid pair with test
-    rows so the true definition holds.
-
-    Each member is searched independently; every success forms a new pair and
-    every failure counts one failed sample. A pair that already satisfies the
-    true definition passes through unchanged with zero failures.
-    """
-    _check_pair_width(pair, model)
-    test_data.require_rows("test data for repair")
-    if is_true_idi(pair, model, sensitive):
-        return [pair], 0
-    index = _TestIndex(test_data, model, sensitive)
-    a, b = _as_vec(pair.a), _as_vec(pair.b)
-    labels, _ = model.predict_batch(np.stack([a, b]).astype(float))
-    return _find_true_partners(
-        [(a, int(labels[0])), (b, int(labels[1]))], index, rng
-    )
 
 
 class _Run:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +72,12 @@ def group_split(
 
 @dataclass
 class FairnessReport:
-    """Per-case metric values. eod is None when a group has no positives among
-    the labeled samples."""
+    """Per-case metric values. spd is None when a group has no samples, eod
+    when a group has no positives among the labeled samples."""
 
     idi_ratio: float
     eod: float | None
-    spd: float
+    spd: float | None
     idi_count: int
     sample_count: int
 
@@ -163,14 +162,15 @@ def labeled_samples_from_suite(
 def build_report(
     suite: TestSuite, model: ModelUnderTest, test_data: Dataset, rule: GroupRule
 ) -> FairnessReport:
-    """IDI ratio over the suite, SPD over all generated samples, EOD over the
-    pair-labeled subset (None when a group lacks positives)."""
+    """IDI ratio over the suite, SPD over all generated samples (None when a
+    group is empty), EOD over the pair-labeled subset (None when a group lacks
+    positives)."""
     ratio = idi_ratio(suite)
     X = suite.sample_matrix()
     try:
         spd_value = spd(X, model, rule, test_data.schema)
     except MissingGroup:
-        spd_value = math.nan
+        spd_value = None
     X_lab, y_lab = labeled_samples_from_suite(suite, test_data)
     try:
         eod_value = eod(X_lab, y_lab, model, rule, test_data.schema)

@@ -7,9 +7,7 @@ are fed as raw reals without one-hot expansion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -58,19 +56,6 @@ class ModelConfig:
         if self.early_stop_patience is not None and self.early_stop_patience <= 0:
             raise ConfigInvalid("early_stop_patience must be positive when set")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "hidden_sizes": list(self.hidden_sizes),
-            "dropout": list(self.dropout),
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "seed": self.seed,
-            "early_stop_patience": self.early_stop_patience,
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
         return cls(
@@ -97,7 +82,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ModelUnderTest:
-    """A trained predictor. predict(x) = 1 iff predict_proba(x) >= 0.5."""
+    """A trained predictor; predict_batch labels a row 1 iff its probability is >= 0.5."""
 
     config: ModelConfig
     input_width: int
@@ -124,12 +109,6 @@ class ModelUnderTest:
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         probs = self.predict_proba_batch(X)
         return (probs >= 0.5).astype(np.int64), probs
-
-
-def predict(model: ModelUnderTest, sample) -> tuple[int, float]:
-    """Predicted label (threshold 0.5, inclusive) and probability for one sample."""
-    labels, probs = model.predict_batch(np.asarray(sample, dtype=float))
-    return int(labels[0]), float(probs[0])
 
 
 def input_gradient(model: ModelUnderTest, sample) -> np.ndarray:
@@ -287,26 +266,3 @@ def train(train_data: Dataset, config: ModelConfig) -> ModelUnderTest:
     if best_params is not None:
         model.weights, model.biases = best_params
     return model
-
-
-def save_model(model: ModelUnderTest, path: str | Path) -> None:
-    doc = {
-        "format_version": 1,
-        "config": model.config.to_dict(),
-        "input_width": model.input_width,
-        "weights": [W.tolist() for W in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> ModelUnderTest:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != 1:
-        raise ConfigInvalid(f"unsupported model file version {doc.get('format_version')}")
-    return ModelUnderTest(
-        config=ModelConfig.from_dict(doc["config"]),
-        input_width=doc["input_width"],
-        weights=[np.asarray(W, dtype=float) for W in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-    )

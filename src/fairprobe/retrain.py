@@ -59,7 +59,8 @@ def augment_training_data(
 
 
 def model_quality(model: ModelUnderTest, data: Dataset) -> dict:
-    """Accuracy, F1 on the positive class, and rank-based AUC."""
+    """Accuracy, F1 on the positive class, and rank-based AUC (None when the
+    data holds a single class)."""
     labels, probs = model.predict_batch(data.rows.astype(float))
     y = data.labels
     acc = float(np.mean(labels == y))
@@ -70,7 +71,7 @@ def model_quality(model: ModelUnderTest, data: Dataset) -> dict:
     n_pos = int(np.sum(y == 1))
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
-        auc = float("nan")
+        auc = None
     else:
         order = np.argsort(probs, kind="mergesort")
         ranks = np.empty(len(probs))
@@ -100,9 +101,11 @@ def retrain_and_retest(
     rule: GroupRule,
     old_model: ModelUnderTest | None = None,
     domains=None,
-) -> tuple[list[FairnessReport], list[FairnessReport]]:
+) -> tuple[list[FairnessReport], list[FairnessReport], ModelUnderTest]:
     """Retrain from scratch on train + corrections, then re-test the old and
-    new models side by side over `runs` seeded generation runs."""
+    new models side by side over `runs` seeded generation runs.
+
+    Returns (reports before, reports after, the retrained model)."""
     if old_model is None:
         old_model = train(train_data, model_config)
     augmented = augment_training_data(train_data, corrections)
@@ -119,4 +122,4 @@ def retrain_and_retest(
         )
         before.append(build_report(suite_old, old_model, test_data, rule))
         after.append(build_report(suite_new, retrained, test_data, rule))
-    return before, after
+    return before, after, retrained

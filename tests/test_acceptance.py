@@ -355,7 +355,7 @@ class TestAcceptance:
         )
         corrections = correct_pairs(suite, model, test_data)
         rule = GroupRule.default_for(demo_dataset, "gender")
-        before, after = retrain_and_retest(
+        before, after, _ = retrain_and_retest(
             LR_CONFIG, train_data, corrections, test_data, s, c, spec,
             budget=BUDGET, runs=10, seed=500, rule=rule, old_model=model,
             domains=demo_dataset.domains,

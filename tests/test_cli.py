@@ -1,8 +1,10 @@
 import csv
 import json
+from collections import Counter
 
 import pytest
 
+import fairprobe.cli as cli
 from fairprobe.cli import (
     ExperimentConfig,
     derive_seed,
@@ -11,6 +13,7 @@ from fairprobe.cli import (
     run_experiment,
 )
 from fairprobe.demo import write_demo_csv, write_demo_schema
+from fairprobe.errors import ConfigInvalid
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +245,100 @@ class TestCommands:
         )
         with pytest.raises(FileNotFoundError):
             main(["test", "--config", str(bad)])
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestConfigErrors:
+    """A malformed config exits 1 with a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"budgett": 5}, "budgett"),
+            ({"runs": 0}, "runs"),
+            ({"generators": [{"name": "g", "kind": "genetic"}]}, "genetic"),
+        ],
+        ids=["unknown_key", "zero_runs", "unknown_generator_kind"],
+    )
+    def test_exit_code_one(self, demo_files, tmp_path, capsys, overrides, named):
+        path = small_config(demo_files, tmp_path, **overrides)
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig.from_json(path)
+        assert main(["test", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert named in capsys.readouterr().err
+
+
+class TestSharedPipeline:
+    def test_each_stage_runs_once_where_its_inputs_change(
+        self, demo_files, tmp_path, monkeypatch
+    ):
+        calls = Counter()
+
+        def count(name):
+            fn = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+
+        for name in ("load_csv", "split_train_test", "discover_graph", "train"):
+            count(name)
+        path = small_config(
+            demo_files, tmp_path,
+            sensitive=["gender", "race"],
+            models=[
+                {"name": "logistic", "kind": "logistic", "epochs": 10},
+                {"name": "mlp", "kind": "mlp", "hidden_sizes": [4], "epochs": 2},
+            ],
+            generators=[{"name": "random", "kind": "random"},
+                        {"name": "sg_lite", "kind": "sg_lite"}],
+            runs=2, budget=60, retrain_budget=30, run_retrain=True,
+        )
+        out = tmp_path / "out"
+        assert main(["test", "--config", str(path), "--out", str(out)]) == 0
+        # 2 run indices: 2 splits and graphs; 2 models per run index: 4 trainings;
+        # the retrain reuses run index 0 instead of loading the data again
+        assert calls == {"load_csv": 1, "split_train_test": 2, "discover_graph": 2, "train": 4}
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["cases"]) == 8
+        assert (out / "retrain_gender.json").exists() and (out / "retrain_race.json").exists()
+
+    def test_analyze_matches_test_run_zero(self, demo_files, tmp_path):
+        path = small_config(
+            demo_files, tmp_path, sensitive=["gender", "age"], runs=1, budget=60
+        )
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        analyzed = json.loads((out / "analyze.json").read_text())
+        report, _ = run_experiment(ExperimentConfig.from_json(path))
+        assert any(doc["direct_features"] for doc in analyzed.values())
+        for case_key, case in report["cases"].items():
+            entry = case["analysis"][0]
+            doc = analyzed[case_key.split("/")[1]]
+            assert doc["direct_features"] == entry["direct_features"]
+            assert doc["selected"] == entry["selected"]
+            assert {f: e["median"] for f, e in doc["effects"].items()} == entry["effects"]
+
+
+class TestStrictJson:
+    def test_single_group_rule_writes_null_spd(self, demo_files, tmp_path):
+        out = tmp_path / "strict"
+        path = small_config(
+            demo_files, tmp_path, budget=120,
+            group_rules={"gender": {"kind": "range", "range": [100, 200]}},
+        )
+        assert main(["test", "--config", str(path), "--out", str(out)]) == 0
+        json.loads((out / "timings.json").read_text(), parse_constant=reject_constant)
+        doc = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+        base = next(iter(doc["cases"].values()))["modes"]["base"]
+        assert [run["spd"] for run in base["runs"]] == [None, None]
+        assert base["spd"] == {"mean": None, "std": None}
+
+    def test_nan_refused_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_report({"cases": {}, "value": float("nan")}, tmp_path)

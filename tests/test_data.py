@@ -128,29 +128,6 @@ class TestLoadCsv:
         assert ds.n_rows == 2
         assert "dropped 1 rows" in caplog.text
 
-    def test_encode_decode_round_trip(self, tmp_path):
-        path = write(
-            tmp_path,
-            "age,job,city,income\n"
-            "30,nurse,rome,1\n40,clerk,oslo,0\n35,nurse,lima,1\n22,smith,rome,0\n",
-        )
-        ds = load_csv(path, SCHEMA)
-        decoded = ds.decode_rows()
-        encoders = {
-            name: {v: k for k, v in mapping.items()}
-            for name, mapping in ds.decode_maps.items()
-        }
-        re_encoded = []
-        for row in decoded:
-            out = []
-            for j, name in enumerate(SCHEMA.feature_names):
-                if SCHEMA.declared_kinds[name] == "categorical":
-                    out.append(encoders[name][row[j]])
-                else:
-                    out.append(int(row[j]))
-            re_encoded.append(out)
-        assert np.array_equal(np.asarray(re_encoded), ds.rows)
-
 
 class TestDomains:
     def test_integer_range_spans_observed(self, tmp_path):

@@ -1,21 +1,19 @@
-import json
-
 import numpy as np
 import pytest
 
 from conftest import make_hypercube_fixture
 
 from fairprobe.data import Schema, ValueDomain, from_arrays
-from fairprobe.errors import EmptyData, EmptyDomain, IndexCollision, WidthMismatch
+from fairprobe.errors import ConfigInvalid, EmptyData, IndexCollision, WidthMismatch
 from fairprobe.generators import (
     GeneratorSpec,
     Pair,
     is_relaxed_idi,
     is_true_idi,
-    perturb_values,
-    repair_invalid,
     run_base_generator,
     run_causalft,
+    _TestIndex,
+    _find_true_partners,
     _iter_candidates,
 )
 from fairprobe.models import ModelConfig, ModelUnderTest
@@ -106,46 +104,68 @@ class TestRelaxedIdi:
 
 
 class TestPerturbValues:
+    """Perturbation invariants of the candidate streams, for every kind: fixed
+    indices never change, values stay in their domain, and both members of a
+    pair receive identical changes."""
+
     DOMAINS = (
         ValueDomain.range_of(0, 9),
         ValueDomain.range_of(0, 9),
         ValueDomain.set_of([3]),
         ValueDomain.set_of([0, 2, 5]),
     )
+    MODEL = fixed_logistic([0.6, -0.4, 0.3, 0.5], 0.0)
+    KINDS = ("random", "sg_lite", "adf_lite")
+    A0 = np.array([4, 5, 3, 2])
+    B0 = np.array([7, 5, 3, 2])  # the seed pair differs at index 0 only
+
+    def streams(self, kind, mutable, domains=DOMAINS):
+        """The candidate list of the seed pair under each of 20 stream seeds."""
+        spec = GeneratorSpec(kind=kind, local_steps=5)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            yield list(_iter_candidates(spec, self.MODEL, self.A0, self.B0, mutable, domains, rng))
 
     def test_immutable_features_never_touched(self):
-        rng = np.random.default_rng(0)
-        sample = np.array([4, 5, 3, 2])
-        for _ in range(100):
-            out = perturb_values(sample, [1, 3], self.DOMAINS, rng)
-            assert out[0] == 4 and out[2] == 3
+        for kind in self.KINDS:
+            count = 0
+            for stream in self.streams(kind, [1, 3]):
+                for pa, pb in stream:
+                    count += 1
+                    assert pa[0] == 4 and pb[0] == 7
+                    assert pa[2] == 3 and pb[2] == 3
+            assert count > 0, kind
 
     def test_values_stay_in_domain(self):
-        rng = np.random.default_rng(1)
-        sample = np.array([4, 5, 3, 2])
-        for _ in range(200):
-            out = perturb_values(sample, [0, 1, 3], self.DOMAINS, rng)
-            assert all(self.DOMAINS[j].contains(int(out[j])) for j in range(4))
+        for kind in self.KINDS:
+            for stream in self.streams(kind, [1, 2, 3]):
+                for pa, pb in stream:
+                    for vec in (pa, pb):
+                        assert all(self.DOMAINS[j].contains(int(vec[j])) for j in range(4))
 
     def test_mutated_value_differs_unless_singleton(self):
-        rng = np.random.default_rng(2)
-        sample = np.array([4, 5, 3, 2])
-        for _ in range(200):
-            out = perturb_values(sample, [0, 2], self.DOMAINS, rng)
-            assert out[0] != 4      # 10-value range must move
-            assert out[2] == 3      # singleton stays
+        # both members change identically and the singleton index never moves;
+        # each random step and each sg_lite sweep value moves exactly one feature
+        for kind in self.KINDS:
+            for stream in self.streams(kind, [1, 2, 3]):
+                prev = self.A0
+                for pa, pb in stream:
+                    assert np.array_equal(pa - self.A0, pb - self.B0)
+                    moved = set(np.nonzero(pa != prev)[0].tolist())
+                    assert moved <= {1, 3}
+                    if kind != "adf_lite":
+                        assert len(moved) == 1
+                    if kind == "random":
+                        prev = pa
 
     def test_all_singleton_domains_identity(self):
-        domains = tuple(ValueDomain.set_of([v]) for v in (1, 2, 3))
-        rng = np.random.default_rng(3)
-        sample = np.array([1, 2, 3])
-        out = perturb_values(sample, [0, 1, 2], domains, rng)
-        assert np.array_equal(out, sample)
-
-    def test_missing_domain_raises(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(EmptyDomain):
-            perturb_values(np.array([1, 2]), [1], (ValueDomain.range_of(0, 3),), rng)
+        domains = (ValueDomain.range_of(0, 9),) + tuple(
+            ValueDomain.set_of([v]) for v in (5, 3, 2)
+        )
+        for kind in self.KINDS:
+            for stream in self.streams(kind, [1, 2, 3], domains):
+                for pa, pb in stream:
+                    assert np.array_equal(pa, self.A0) and np.array_equal(pb, self.B0)
 
 
 class TestCandidateStreams:
@@ -295,6 +315,9 @@ class TestCausalFT:
 
 
 class TestRepairInvalid:
+    """The repair pass re-pairs each member of a relaxed-only pair with a test
+    row through `_find_true_partners`."""
+
     def make_repair_fixture(self):
         # test rows: a profile and its sensitive-flip twins with flipping labels
         schema = Schema(
@@ -308,25 +331,28 @@ class TestRepairInvalid:
         ds = from_arrays(rows, model.predict_batch(rows.astype(float))[0], schema)
         return schema, ds, model
 
+    def repair(self, pair, ds, model):
+        members = np.array([pair.a, pair.b])
+        labels, _ = model.predict_batch(members.astype(float))
+        return _find_true_partners(
+            [(members[0], int(labels[0])), (members[1], int(labels[1]))],
+            _TestIndex(ds, model, 0),
+            np.random.default_rng(0),
+        )
+
     def test_both_members_repaired(self):
         _, ds, model = self.make_repair_fixture()
         # relaxed-valid (s and f1 differ, labels differ), not true-valid
         pair = Pair(a=(0, 4, 1), b=(1, 6, 1))
-        new_pairs, failed = repair_invalid(pair, ds, model, 0, np.random.default_rng(0))
+        new_pairs, failed = self.repair(pair, ds, model)
         assert failed == 0 and len(new_pairs) == 2
         for repaired in new_pairs:
             assert is_true_idi(repaired, model, 0)
 
-    def test_true_valid_passthrough(self):
-        _, ds, model = self.make_repair_fixture()
-        pair = Pair(a=(0, 4, 1), b=(1, 4, 1))
-        new_pairs, failed = repair_invalid(pair, ds, model, 0, np.random.default_rng(0))
-        assert new_pairs == [pair] and failed == 0
-
     def test_no_partner_counts_failures(self):
         _, ds, model = self.make_repair_fixture()
         pair = Pair(a=(0, 9, 9), b=(1, 8, 9))
-        new_pairs, failed = repair_invalid(pair, ds, model, 0, np.random.default_rng(0))
+        new_pairs, failed = self.repair(pair, ds, model)
         assert new_pairs == [] and failed == 2
 
 
@@ -348,24 +374,6 @@ class TestBruteForceEquivalence:
         assert set(suite.idi_samples) == expected
 
 
-class TestExport:
-    def test_sample_lines_plus_ledger_block(self, tmp_path, demo_split, demo_lr, demo_dataset):
-        _, test_data = demo_split
-        suite = run_base_generator(
-            GeneratorSpec(kind="random"), demo_lr, test_data,
-            demo_dataset.schema.index("gender"), 50, 1,
-            domains=demo_dataset.domains,
-        )
-        path = tmp_path / "suite.txt"
-        suite.export(path)
-        lines = path.read_text().strip().splitlines()
-        marker = lines.index("#LEDGER")
-        assert marker == len(suite.unique_samples)
-        parsed = [tuple(int(v) for v in line.split(",")) for line in lines[:marker]]
-        assert parsed == suite.unique_samples
-        assert json.loads(lines[marker + 1]) == suite.ledger.to_dict()
-
-
 class TestGeneratorSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -378,3 +386,9 @@ class TestGeneratorSpec:
             GeneratorSpec(kind="adf_lite", step_size=0)
         with pytest.raises(ValueError):
             GeneratorSpec(kind="sg_lite", max_attempts_per_pair=0)
+
+    def test_errors_are_config_invalid(self):
+        with pytest.raises(ConfigInvalid):
+            GeneratorSpec(kind="genetic")
+        with pytest.raises(ConfigInvalid):
+            GeneratorSpec(kind="random", step_size=-1)

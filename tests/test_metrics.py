@@ -182,6 +182,12 @@ class TestSpd:
         with pytest.raises(MissingGroup):
             spd(rows, LOOKUP_MODEL, RULE, SCHEMA)
 
+    def test_single_group_suite_reports_none(self):
+        suite = suite_of(1, 0)  # its one sample sits in group alpha
+        test_data = from_arrays(np.array([[0, 0, 0], [1, 1, 0]]), np.array([0, 1]), SCHEMA)
+        report = build_report(suite, LOOKUP_MODEL, test_data, RULE)
+        assert report.spd is None and report.eod is None
+
     def test_brute_force_small_fixtures(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

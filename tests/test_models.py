@@ -7,9 +7,6 @@ from fairprobe.models import (
     ModelConfig,
     ModelUnderTest,
     input_gradient,
-    load_model,
-    predict,
-    save_model,
     train,
 )
 
@@ -159,16 +156,18 @@ class TestTraining:
 class TestPredict:
     def test_zero_weight_logistic_threshold_inclusive(self):
         model = fixed_logistic([0.0, 0.0], 0.0)
-        label, prob = predict(model, [3, 4])
-        assert prob == 0.5 and label == 1
+        labels, probs = model.predict_batch(np.array([3, 4]))
+        assert probs[0] == 0.5 and labels[0] == 1
 
     def test_prob_in_unit_interval(self, demo_lr, demo_dataset):
         probs = demo_lr.predict_proba_batch(demo_dataset.rows[:200].astype(float))
         assert np.all((probs >= 0) & (probs <= 1))
 
     def test_pure_function(self, demo_lr, demo_dataset):
-        x = demo_dataset.rows[0]
-        assert predict(demo_lr, x) == predict(demo_lr, x)
+        x = demo_dataset.rows[:50]
+        labels1, probs1 = demo_lr.predict_batch(x)
+        labels2, probs2 = demo_lr.predict_batch(x)
+        assert np.array_equal(labels1, labels2) and np.array_equal(probs1, probs2)
 
     def test_label_matches_threshold(self, demo_lr, demo_dataset):
         labels, probs = demo_lr.predict_batch(demo_dataset.rows[:500].astype(float))
@@ -176,7 +175,7 @@ class TestPredict:
 
     def test_width_mismatch(self, demo_lr):
         with pytest.raises(WidthMismatch):
-            predict(demo_lr, [1, 2, 3])
+            demo_lr.predict_batch(np.array([1, 2, 3]))
 
 
 def finite_difference(model, x, h=1e-4):
@@ -202,7 +201,7 @@ class TestInputGradient:
         w = np.array([0.7, -1.3, 0.2])
         model = fixed_logistic(w, 0.4)
         x = np.array([1.0, 2.0, -1.0])
-        _, p = predict(model, x)
+        p = model.predict_proba_batch(x)[0]
         expected = p * (1 - p) * w
         assert np.allclose(input_gradient(model, x), expected, rtol=1e-12)
 
@@ -231,21 +230,3 @@ class TestInputGradient:
     def test_width_mismatch(self, demo_lr):
         with pytest.raises(WidthMismatch):
             input_gradient(demo_lr, np.zeros(3))
-
-
-class TestSaveLoad:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(8)
-        rows = rng.integers(0, 4, size=(80, 3))
-        labels = (rows[:, 1] > 1).astype(int)
-        ds = from_arrays(rows, labels, toy_schema(3))
-        model = train(ds, ModelConfig(kind="mlp", hidden_sizes=(5,), epochs=3, seed=6))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.config == model.config
-        assert loaded.input_width == model.input_width
-        for w1, w2 in zip(model.weights, loaded.weights):
-            assert np.array_equal(w1, w2)
-        for b1, b2 in zip(model.biases, loaded.biases):
-            assert np.array_equal(b1, b2)

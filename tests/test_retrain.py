@@ -164,8 +164,8 @@ class TestRetrainAndRetest:
             old_model=demo_lr,
             domains=demo_dataset.domains,
         )
-        before1, after1 = retrain_and_retest(**kwargs)
-        before2, after2 = retrain_and_retest(**kwargs)
+        before1, after1, _ = retrain_and_retest(**kwargs)
+        before2, after2, _ = retrain_and_retest(**kwargs)
         assert len(before1) == len(after1) == 3
         assert [r.idi_ratio for r in before1] == [r.idi_ratio for r in before2]
         assert [r.idi_ratio for r in after1] == [r.idi_ratio for r in after2]
