@@ -36,7 +36,7 @@ from .causal import (
     select_causal_feature,
     select_correlation_feature,
 )
-from .data import Dataset, Schema, load_csv, split_train_test, subsample
+from .data import Dataset, Schema, load_csv, read_json_object, split_train_test, subsample
 from .errors import ConfigInvalid, FairprobeError, NoDirectFeature
 from .generators import GeneratorSpec, run_base_generator, run_causalft
 from .metrics import GroupRule, build_report
@@ -87,17 +87,17 @@ class ExperimentConfig:
             raise ConfigInvalid("at least one sensitive feature is required")
         if not self.models or not self.generators:
             raise ConfigInvalid("need at least one model and one generator")
+        for doc in self.models:
+            try:
+                ModelConfig.from_dict(doc).validate()
+            except TypeError as exc:  # a value of the wrong type
+                raise ConfigInvalid(f"model {_case_name(doc, '?')!r}: {exc}") from None
         for doc in self.generators:
             _generator_spec(doc)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigInvalid(f"{path} must hold a JSON object")
+        doc = read_json_object(path, "config", ConfigInvalid)
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {', '.join(unknown)}")

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import (
     EmptyData,
+    FairprobeError,
+    InputNotFound,
     InvalidCell,
     MissingHeader,
     NonBinaryLabel,
@@ -30,6 +32,23 @@ log = logging.getLogger(__name__)
 KIND_CATEGORICAL = "categorical"
 KIND_INTEGER = "integer"
 _KINDS = (KIND_CATEGORICAL, KIND_INTEGER)
+
+
+def read_json_object(path: str | Path, what: str, invalid: type[FairprobeError]) -> dict:
+    """The JSON object in the file at `path`. A missing file raises
+    InputNotFound; invalid JSON or a non-object document raises `invalid`.
+    `what` names the file in the message."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputNotFound(f"{what} file {path} not found") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise invalid(f"{what} file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise invalid(f"{what} file {path} must hold a JSON object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -83,7 +102,9 @@ class Schema:
 
         The order of keys in ``features`` fixes the feature order.
         """
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json_object(path, "schema", SchemaMismatch)
+        if "label" not in doc:
+            raise SchemaMismatch(f"schema file {path} declares no 'label'")
         features = doc.get("features")
         if not isinstance(features, dict) or not features:
             raise SchemaMismatch("schema file must declare a non-empty 'features' map")
@@ -220,7 +241,11 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
     counted in the log.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = path.open(newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise InputNotFound(f"dataset file {path} not found") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -30,6 +30,10 @@ class UnknownFeature(FairprobeError):
     pass
 
 
+class InputNotFound(FairprobeError):
+    """A dataset, schema or config path that does not exist."""
+
+
 # configuration (also a ValueError, as invalid parameter values are)
 class ConfigInvalid(FairprobeError, ValueError):
     pass

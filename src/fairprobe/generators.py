@@ -119,19 +119,14 @@ def _as_vec(sample) -> np.ndarray:
 
 
 def _differs_only_at(a: np.ndarray, b: np.ndarray, idx: int) -> bool:
-    if a[idx] == b[idx]:
-        return False
-    mask = np.ones(len(a), dtype=bool)
-    mask[idx] = False
-    return bool(np.array_equal(a[mask], b[mask]))
+    """The members differ at idx and nowhere else."""
+    return (a != b).nonzero()[0].tolist() == [idx]
 
 
 def _relaxed_structure(a: np.ndarray, b: np.ndarray, s: int, c: int) -> bool:
-    if a[s] == b[s] and a[c] == b[c]:
-        return False
-    mask = np.ones(len(a), dtype=bool)
-    mask[s] = mask[c] = False
-    return bool(np.array_equal(a[mask], b[mask]))
+    """The members differ somewhere, and only inside {s, c}."""
+    diff = (a != b).nonzero()[0].tolist()
+    return bool(diff) and all(i == s or i == c for i in diff)
 
 
 def _check_pair_width(pair: Pair, model: ModelUnderTest) -> None:
@@ -166,27 +161,28 @@ def is_relaxed_idi(pair: Pair, model: ModelUnderTest, sensitive: int, causal: in
 
 
 class _TestIndex:
-    """Test rows keyed for membership checks and true-definition partner search."""
+    """Test rows keyed for membership checks and true-definition partner
+    search, with every row's predicted label from one batch query."""
 
     def __init__(self, test_data: Dataset, model: ModelUnderTest, sensitive: int):
         self.rows = test_data.rows
         self.sensitive = sensitive
         self.labels, _ = model.predict_batch(self.rows.astype(float))
-        self.keys: dict[tuple, int] = {}
+        self.label_of: dict[tuple, int] = {}
         self.buckets: dict[tuple, list[int]] = {}
-        for i, row in enumerate(self.rows):
-            key = tuple(int(v) for v in row)
-            self.keys.setdefault(key, i)
+        for i, (key, label) in enumerate(
+            zip(map(tuple, self.rows.tolist()), self.labels.tolist())
+        ):
+            self.label_of.setdefault(key, label)
             proj = key[:sensitive] + key[sensitive + 1 :]
             self.buckets.setdefault(proj, []).append(i)
 
     def contains(self, key: tuple) -> bool:
-        return key in self.keys
+        return key in self.label_of
 
-    def find_partner(self, vec: np.ndarray, label: int, rng: np.random.Generator) -> int | None:
-        """A random test row that differs from vec only at the sensitive index
-        and carries a different predicted label, or None."""
-        key = tuple(int(v) for v in vec)
+    def find_partner(self, key: tuple, label: int, rng: np.random.Generator) -> int | None:
+        """A random test row that differs from the keyed sample only at the
+        sensitive index and carries a different predicted label, or None."""
         proj = key[: self.sensitive] + key[self.sensitive + 1 :]
         bucket = self.buckets.get(proj)
         if not bucket:
@@ -194,7 +190,7 @@ class _TestIndex:
         eligible = [
             i
             for i in bucket
-            if self.rows[i, self.sensitive] != vec[self.sensitive] and self.labels[i] != label
+            if self.rows[i, self.sensitive] != key[self.sensitive] and self.labels[i] != label
         ]
         if not eligible:
             return None
@@ -212,15 +208,16 @@ def _find_true_partners(
     """
     pairs, failed = [], 0
     for vec, label in pair_members:
-        partner = index.find_partner(vec, label, rng)
+        key = tuple(vec.tolist())
+        partner = index.find_partner(key, label, rng)
         if partner is None:
             failed += 1
             continue
         pairs.append(
             Pair(
-                a=tuple(int(v) for v in vec),
-                b=tuple(int(v) for v in index.rows[partner]),
-                a_from_test=index.contains(tuple(int(v) for v in vec)),
+                a=key,
+                b=tuple(index.rows[partner].tolist()),
+                a_from_test=index.contains(key),
                 b_from_test=True,
             )
         )
@@ -242,19 +239,21 @@ class _Run:
         self.invalid_keys: set[tuple] = set()
         self.ledger = PairLedger()
         self.channels: dict[str, int] = {}
-        self._label_cache: dict[tuple, int] = {}
+        # test rows are never sent to the model again
+        self._label_cache: dict[tuple, int] = dict(index.label_of)
 
     def bank(self, key: tuple) -> None:
         if len(self.samples) < self.budget and key not in self.samples:
             self.samples[key] = None
 
     def labels_of(self, ka: tuple, kb: tuple) -> tuple[int, int]:
-        missing = [k for k in (ka, kb) if k not in self._label_cache]
-        if missing:
+        cache = self._label_cache
+        if ka not in cache or kb not in cache:
+            missing = [k for k in (ka, kb) if k not in cache]
             labels, _ = self.model.predict_batch(np.asarray(missing, dtype=float))
             for k, lab in zip(missing, labels):
-                self._label_cache[k] = int(lab)
-        return self._label_cache[ka], self._label_cache[kb]
+                cache[k] = int(lab)
+        return cache[ka], cache[kb]
 
     def tick(self, channel: str) -> None:
         self.channels[channel] = self.channels.get(channel, 0) + 1
@@ -341,8 +340,8 @@ def _iter_candidates(
 
 
 def _consider_base(run: _Run, a: np.ndarray, b: np.ndarray, sensitive: int) -> None:
-    ka = tuple(int(v) for v in a)
-    kb = tuple(int(v) for v in b)
+    ka = tuple(a.tolist())
+    kb = tuple(b.tolist())
     run.bank(ka)
     run.bank(kb)
     if ka == kb:
@@ -366,8 +365,8 @@ def _consider_causalft(
     causal: int,
     rng: np.random.Generator,
 ) -> None:
-    ka = tuple(int(v) for v in a)
-    kb = tuple(int(v) for v in b)
+    ka = tuple(a.tolist())
+    kb = tuple(b.tolist())
     run.bank(ka)
     run.bank(kb)
     if ka == kb:
@@ -458,7 +457,7 @@ def run_base_generator(
         a = test_data.rows[rng.integers(n)].copy()
         evals += 1
         if s_dom.size == 1:
-            run.bank(tuple(int(v) for v in a))
+            run.bank(tuple(a.tolist()))
             continue
         b = a.copy()
         b[sensitive] = s_dom.sample_excluding(rng, int(a[sensitive]))
@@ -522,7 +521,7 @@ def run_causalft(
         drawn_b = test_data.rows[j].copy()
         evals += 1
 
-        la, lb = run.labels_of(tuple(int(v) for v in a), tuple(int(v) for v in drawn_b))
+        la, lb = run.labels_of(tuple(a.tolist()), tuple(drawn_b.tolist()))
         if (
             i != j
             and _relaxed_structure(a, drawn_b, sensitive, causal)
@@ -533,7 +532,7 @@ def run_causalft(
             continue
 
         if s_dom.size == 1 and c_dom.size == 1:
-            run.bank(tuple(int(v) for v in a))
+            run.bank(tuple(a.tolist()))
             continue
         b = a.copy()
         b[sensitive] = s_dom.sample_excluding(rng, int(a[sensitive]))

@@ -136,10 +136,7 @@ def labeled_samples_from_suite(
     label of the test-row member of its pair. Samples outside any pair carry
     no ground truth and are excluded.
     """
-    row_label = {
-        tuple(int(v) for v in row): int(lab)
-        for row, lab in zip(test_data.rows, test_data.labels)
-    }
+    row_label = dict(zip(map(tuple, test_data.rows.tolist()), test_data.labels.tolist()))
     labeled: dict[tuple, int] = {}
     for pair in suite.true_pairs:
         a_lab = row_label.get(pair.a)

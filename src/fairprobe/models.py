@@ -7,7 +7,7 @@ are fed as raw reals without one-hot expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,6 +58,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
+        """Build from a config entry; `name` is the entry's label in reports."""
+        if not isinstance(doc, dict):
+            raise ConfigInvalid(f"model entry must be a JSON object, got {doc!r}")
+        problems = [] if "kind" in doc else ["missing key: kind"]
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"name"})
+        if unknown:
+            problems.append(f"unknown keys: {', '.join(unknown)}")
+        if problems:
+            raise ConfigInvalid(f"model {doc.get('name', '?')!r}: {'; '.join(problems)}")
         return cls(
             kind=doc["kind"],
             hidden_sizes=tuple(doc.get("hidden_sizes", ())),
@@ -72,12 +81,10 @@ class ModelConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp only ever
+    # sees a non-positive argument, so it never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass

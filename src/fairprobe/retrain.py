@@ -23,7 +23,7 @@ def correct_pairs(
     the member the model predicts positive anchors the correction and both
     are emitted with label 1. Duplicates are dropped.
     """
-    test_keys = {tuple(int(v) for v in row) for row in test_data.rows}
+    test_keys = set(map(tuple, test_data.rows.tolist()))
     out: dict[tuple[tuple[int, ...], int], None] = {}
     for pair in suite.true_pairs:
         a_in = pair.a in test_keys

@@ -243,8 +243,8 @@ class TestCommands:
                 }
             )
         )
-        with pytest.raises(FileNotFoundError):
-            main(["test", "--config", str(bad)])
+        assert main(["test", "--config", str(bad)]) == 1
+        assert str(tmp_path / "missing.csv") in capsys.readouterr().err
 
 
 def reject_constant(name):
@@ -260,8 +260,22 @@ class TestConfigErrors:
             ({"budgett": 5}, "budgett"),
             ({"runs": 0}, "runs"),
             ({"generators": [{"name": "g", "kind": "genetic"}]}, "genetic"),
+            ({"models": [{"name": "lr", "epochs": 5}]}, "kind"),
+            ({"models": [{"name": "lr", "kind": "logistic", "epoch": 5}]}, "epoch"),
+            ({"models": [{"name": "lr", "kind": "logistic", "hidden_sizes": [4]}]}, "hidden"),
+            ({"models": [{"name": "lr", "kind": "logistic", "epochs": "5"}]}, "'lr'"),
+            ({"models": ["logistic"]}, "JSON object"),
         ],
-        ids=["unknown_key", "zero_runs", "unknown_generator_kind"],
+        ids=[
+            "unknown_key",
+            "zero_runs",
+            "unknown_generator_kind",
+            "model_without_kind",
+            "misspelt_model_key",
+            "logistic_with_hidden_sizes",
+            "model_value_of_wrong_type",
+            "model_not_an_object",
+        ],
     )
     def test_exit_code_one(self, demo_files, tmp_path, capsys, overrides, named):
         path = small_config(demo_files, tmp_path, **overrides)
@@ -269,6 +283,22 @@ class TestConfigErrors:
             ExperimentConfig.from_json(path)
         assert main(["test", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "broken", ["missing_schema", "schema_not_json", "schema_without_label", "missing_config"]
+    )
+    def test_unreadable_input_file_exits_one(self, demo_files, tmp_path, capsys, broken):
+        schema = tmp_path / "schema.json"
+        if broken == "schema_not_json":
+            schema.write_text("{not json", encoding="utf-8")
+        elif broken == "schema_without_label":
+            schema.write_text('{"features": {"age": "integer"}}', encoding="utf-8")
+        path = small_config(demo_files, tmp_path, schema=str(schema))
+        if broken == "missing_config":
+            path = tmp_path / "absent.json"
+        named = path if broken == "missing_config" else schema
+        assert main(["test", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert str(named) in capsys.readouterr().err
 
 
 class TestSharedPipeline:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_hypercube_fixture
 
@@ -13,8 +15,10 @@ from fairprobe.generators import (
     run_base_generator,
     run_causalft,
     _TestIndex,
+    _differs_only_at,
     _find_true_partners,
     _iter_candidates,
+    _relaxed_structure,
 )
 from fairprobe.models import ModelConfig, ModelUnderTest
 
@@ -101,6 +105,51 @@ class TestRelaxedIdi:
         pair = Pair(a=(0, 1), b=(1, 1))
         with pytest.raises(IndexCollision):
             is_relaxed_idi(pair, fixed_logistic([1.0, 1.0]), 1, 1)
+
+
+def masked_differs_only_at(a, b, idx):
+    """The boolean-mask definition, kept as the reference."""
+    if a[idx] == b[idx]:
+        return False
+    mask = np.ones(len(a), dtype=bool)
+    mask[idx] = False
+    return bool(np.array_equal(a[mask], b[mask]))
+
+
+def masked_relaxed_structure(a, b, s, c):
+    if a[s] == b[s] and a[c] == b[c]:
+        return False
+    mask = np.ones(len(a), dtype=bool)
+    mask[s] = mask[c] = False
+    return bool(np.array_equal(a[mask], b[mask]))
+
+
+@st.composite
+def integer_pairs(draw):
+    """(a, b, s, c): b is a copy of a with a random subset of positions changed."""
+    width = draw(st.integers(2, 8))
+    a = draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width))
+    b = list(a)
+    for i in draw(st.sets(st.integers(0, width - 1))):
+        b[i] += draw(st.sampled_from([-2, -1, 1, 2]))
+    s = draw(st.integers(0, width - 1))
+    c = draw(st.integers(0, width - 1).filter(lambda i: i != s))
+    return np.array(a), np.array(b), s, c
+
+
+class TestPairStructure:
+    @given(integer_pairs())
+    @example((np.array([1, 2, 3]), np.array([1, 2, 3]), 0, 1))  # equal
+    @example((np.array([1, 2, 3]), np.array([0, 2, 3]), 0, 1))  # at s only
+    @example((np.array([1, 2, 3]), np.array([1, 0, 3]), 0, 1))  # at c only
+    @example((np.array([1, 2, 3]), np.array([0, 0, 3]), 0, 1))  # at s and c
+    @example((np.array([1, 2, 3]), np.array([1, 2, 0]), 0, 1))  # elsewhere
+    @example((np.array([1, 2, 3]), np.array([0, 2, 0]), 0, 1))  # at s and elsewhere
+    def test_difference_set_checks_match_mask_definitions(self, case):
+        a, b, s, c = case
+        assert _differs_only_at(a, b, s) == masked_differs_only_at(a, b, s)
+        assert _differs_only_at(a, b, c) == masked_differs_only_at(a, b, c)
+        assert _relaxed_structure(a, b, s, c) == masked_relaxed_structure(a, b, s, c)
 
 
 class TestPerturbValues:
@@ -284,6 +333,27 @@ class TestCausalFT:
         assert s1.unique_samples == s2.unique_samples
         assert s1.idi_samples == s2.idi_samples
         assert s1.ledger.to_dict() == s2.ledger.to_dict()
+
+    def test_test_rows_labelled_once(self, demo_split, demo_lr, demo_dataset, monkeypatch):
+        sent = []
+        predict_batch = ModelUnderTest.predict_batch
+
+        def recording(model, X):
+            sent.append(np.asarray(X))
+            return predict_batch(model, X)
+
+        monkeypatch.setattr(ModelUnderTest, "predict_batch", recording)
+        suite = self.make_suite(demo_split, demo_lr, demo_dataset)
+        _, test_data = demo_split
+        index_build, *later = sent
+        assert len(index_build) == test_data.n_rows
+        assert later and suite.true_pairs
+        test_keys = set(map(tuple, test_data.rows.tolist()))
+        relabelled = [
+            row for X in later for row in map(tuple, X.astype(np.int64).tolist())
+            if row in test_keys
+        ]
+        assert relabelled == []
 
     def test_true_pairs_actually_true(self, demo_split, demo_lr, demo_dataset):
         suite = self.make_suite(demo_split, demo_lr, demo_dataset)

@@ -6,6 +6,7 @@ from fairprobe.errors import ConfigInvalid, EmptyData, WidthMismatch
 from fairprobe.models import (
     ModelConfig,
     ModelUnderTest,
+    _sigmoid,
     input_gradient,
     train,
 )
@@ -176,6 +177,30 @@ class TestPredict:
     def test_width_mismatch(self, demo_lr):
         with pytest.raises(WidthMismatch):
             demo_lr.predict_batch(np.array([1, 2, 3]))
+
+
+def masked_sigmoid(z):
+    """The two-branch form with boolean masks, kept as the reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_reference_bit_for_bit(self):
+        edges = [0.0, -0.0, 1e-320, -1e-320, 1e-17, -1e-17, 36.7, -36.7,
+                 745.0, -745.0, 1e4, -1e4, np.nan]
+        rng = np.random.default_rng(0)
+        z = np.concatenate([edges, rng.normal(0.0, 40.0, 5000), np.linspace(-800, 800, 3201)])
+        with np.errstate(over="ignore"):
+            got, want = _sigmoid(z), masked_sigmoid(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        # a NaN keeps its NaN-ness but may flip its sign bit; all else is exact
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
 
 
 def finite_difference(model, x, h=1e-4):
