@@ -1,6 +1,6 @@
 """Fairness testing for tabular classifiers with causally guided perturbation."""
 
-from .data import Dataset, Schema, ValueDomain, feature_domain, load_csv, split_train_test
+from .data import Dataset, Schema, ValueDomain, load_csv, split_train_test
 from .models import ModelConfig, ModelUnderTest, input_gradient, train
 from .causal import (
     CausalEffect,
@@ -52,7 +52,6 @@ __all__ = [
     "direct_features",
     "discover_graph",
     "eod",
-    "feature_domain",
     "graph_stability",
     "group_split",
     "idi_ratio",

@@ -25,7 +25,9 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 from .causal import (
@@ -38,8 +40,8 @@ from .causal import (
 )
 from .data import Dataset, Schema, load_csv, read_json_object, split_train_test, subsample
 from .errors import ConfigInvalid, FairprobeError, NoDirectFeature
-from .generators import GeneratorSpec, run_base_generator, run_causalft
-from .metrics import GroupRule, build_report
+from .generators import GeneratorSpec, PairLedger, run_base_generator, run_causalft
+from .metrics import FairnessReport, GroupRule, build_report
 from .models import ModelConfig, ModelUnderTest, train
 from .retrain import correct_pairs, model_quality, retrain_and_retest
 from .stats import compare
@@ -52,6 +54,12 @@ OUTPUT_DIR_ENV = "FAIRPROBE_OUT"
 SELECTOR_CAUSAL = "causal"
 SELECTOR_CORRELATION = "correlation"
 SELECTOR_NONE = "none"
+
+# the report's metrics, the ones compared between modes, and the ledger counters
+_METRICS = tuple(f.name for f in fields(FairnessReport))
+_COMPARED = ("idi_ratio", "eod", "spd")
+_LEDGER = tuple(f.name for f in fields(PairLedger))
+
 
 @dataclass
 class ExperimentConfig:
@@ -88,12 +96,13 @@ class ExperimentConfig:
         if not self.models or not self.generators:
             raise ConfigInvalid("need at least one model and one generator")
         for doc in self.models:
-            try:
-                ModelConfig.from_dict(doc).validate()
-            except TypeError as exc:  # a value of the wrong type
-                raise ConfigInvalid(f"model {_case_name(doc, '?')!r}: {exc}") from None
+            _config_entry(ModelConfig, doc, "model")
         for doc in self.generators:
-            _generator_spec(doc)
+            _config_entry(GeneratorSpec, doc, "generator")
+        if not isinstance(self.group_rules, dict):
+            raise ConfigInvalid("group_rules must map feature names to rules")
+        for feature, doc in self.group_rules.items():
+            _config_entry(GroupRule, doc, f"{feature} group rule", feature=feature)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -109,23 +118,12 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "schema": self.schema,
-            "sensitive": list(self.sensitive),
-            "models": [dict(m) for m in self.models],
-            "generators": [dict(g) for g in self.generators],
-            "selector": self.selector,
-            "budget": self.budget,
-            "runs": self.runs,
-            "k_percent": self.k_percent,
-            "m": self.m,
-            "bootstrap_repeats": self.bootstrap_repeats,
-            "seed": self.seed,
-            "train_fraction": self.train_fraction,
-            "group_rules": self.group_rules,
-            "edge_threshold": self.edge_threshold,
-        }
+        """The fields that shape the report, as embedded in it: the output
+        and retrain settings leave report.json unchanged."""
+        doc = asdict(self)
+        for name in ("output_dir", "retrain_budget", "run_retrain"):
+            del doc[name]
+        return doc
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -139,24 +137,40 @@ def _case_name(doc: dict, fallback: str) -> str:
     return doc.get("name", doc.get("kind", fallback))
 
 
-def _generator_spec(doc: dict) -> GeneratorSpec:
-    params = {k: v for k, v in doc.items() if k != "name"}
+def _config_entry(cls, doc, what: str, **fixed):
+    """`cls` built from one config entry.
+
+    The entry's keys are the fields of `cls` not given in `fixed`, plus an
+    optional `name` that labels it in reports; list values become tuples.
+    An entry that is not an object, lacks a required key, has unknown keys,
+    or holds a value `cls` refuses raises ConfigInvalid.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"{what} entry must be a JSON object, got {doc!r}")
+    label = f"{what} {_case_name(doc, '?')!r}"
+    keys = [f for f in fields(cls) if f.name not in fixed]
+    problems = [
+        f"missing key: {f.name}"
+        for f in keys
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING
+    ]
+    unknown = sorted(set(doc) - {f.name for f in keys} - {"name"})
+    if unknown:
+        problems.append(f"unknown keys: {', '.join(unknown)}")
+    if problems:
+        raise ConfigInvalid(f"{label}: {'; '.join(problems)}")
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k != "name"}
     try:
-        return GeneratorSpec(**params)
-    except TypeError as exc:  # unknown or missing generator keys
-        raise ConfigInvalid(f"generator {_case_name(doc, '?')!r}: {exc}") from None
+        return cls(**params, **fixed)
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or out of range
+        raise ConfigInvalid(f"{label}: {exc}") from None
 
 
 def _group_rule(config: ExperimentConfig, dataset: Dataset, feature: str) -> GroupRule:
     doc = config.group_rules.get(feature)
     if doc is None:
         return GroupRule.default_for(dataset, feature)
-    if doc.get("kind") == "range":
-        lo, hi = doc["range"]
-        return GroupRule(feature=feature, kind="range", range=(lo, hi))
-    return GroupRule(
-        feature=feature, kind="binary-value", alpha_values=tuple(doc["alpha_values"])
-    )
+    return _config_entry(GroupRule, doc, f"{feature} group rule", feature=feature)
 
 
 def _load(config: ExperimentConfig) -> Dataset:
@@ -196,7 +210,8 @@ class _RunState:
     def model(self, index: int) -> tuple[ModelConfig, ModelUnderTest]:
         """The index-th configured model, trained on this run's split."""
         if index not in self._models:
-            cfg = replace(ModelConfig.from_dict(self.config.models[index]), seed=self.seed)
+            entry = _config_entry(ModelConfig, self.config.models[index], "model")
+            cfg = replace(entry, seed=self.seed)
             self._models[index] = (cfg, train(self.train, cfg))
         return self._models[index]
 
@@ -247,8 +262,8 @@ def _select_feature(
 
 
 def _suite_summary(suite, model: ModelUnderTest, test_data: Dataset, rule: GroupRule) -> dict:
-    doc = build_report(suite, model, test_data, rule).to_dict()
-    doc["ledger"] = suite.ledger.to_dict()
+    doc = asdict(build_report(suite, model, test_data, rule))
+    doc["ledger"] = asdict(suite.ledger)
     doc["used_fallback"] = suite.used_fallback
     doc["budget_reached"] = suite.budget_reached
     return doc
@@ -265,11 +280,10 @@ def _aggregate(values: list) -> dict:
 
 def _mode_block(run_docs: list[dict]) -> dict:
     block: dict = {"runs": run_docs}
-    for metric in ("idi_ratio", "eod", "spd", "idi_count", "sample_count"):
+    for metric in _METRICS:
         block[metric] = _aggregate([doc[metric] for doc in run_docs])
     block["ledger_means"] = {
-        key: _aggregate([doc["ledger"][key] for doc in run_docs])["mean"]
-        for key in run_docs[0]["ledger"]
+        key: _aggregate([doc["ledger"][key] for doc in run_docs])["mean"] for key in _LEDGER
     }
     block["fallback_runs"] = sum(1 for doc in run_docs if doc["used_fallback"])
     return block
@@ -279,10 +293,10 @@ def _compare_modes(runs_a: list[dict], runs_b: list[dict]) -> dict:
     """Per metric, compare a against b over the runs that have a value, or
     None when either side has fewer than two."""
     out = {}
-    for metric in ("idi_ratio", "eod", "spd"):
+    for metric in _COMPARED:
         a = [doc[metric] for doc in runs_a if doc[metric] is not None]
         b = [doc[metric] for doc in runs_b if doc[metric] is not None]
-        out[metric] = compare(a, b).to_dict() if len(a) >= 2 and len(b) >= 2 else None
+        out[metric] = asdict(compare(a, b)) if len(a) >= 2 and len(b) >= 2 else None
     return out
 
 
@@ -302,7 +316,10 @@ def _run_pipeline(config: ExperimentConfig) -> tuple[dict, dict, _RunState]:
     dataset = _load(config)
     schema = dataset.schema
     dataset_name = Path(config.dataset).stem
-    generators = [(_case_name(doc, "generator"), _generator_spec(doc)) for doc in config.generators]
+    generators = [
+        (_case_name(doc, "generator"), _config_entry(GeneratorSpec, doc, "generator"))
+        for doc in config.generators
+    ]
 
     cases: dict[str, dict] = {}
     timings: dict = {"generation_s": {}}
@@ -362,25 +379,20 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, dict]:
     return report, timings
 
 
-_CSV_COLUMNS = [
-    "case",
-    "mode",
-    "runs",
-    "idi_ratio_mean",
-    "idi_ratio_std",
-    "eod_mean",
-    "eod_std",
-    "spd_mean",
-    "spd_std",
-    "idi_count_mean",
-    "sample_count_mean",
-    "pairs_without_relaxation_mean",
-    "pairs_with_relaxation_mean",
-    "invalid_pairs_mean",
-    "repaired_pairs_mean",
-    "failed_samples_mean",
-    "fallback_runs",
-]
+def _csv_cells() -> list[tuple[str, tuple]]:
+    """report.csv's columns after case, mode and runs: (header, key path to
+    the cell in a mode block). Every metric has its mean, and the compared
+    ones their std too; the ledger counters have their means."""
+    cells = []
+    for metric in _METRICS:
+        cells.append((f"{metric}_mean", (metric, "mean")))
+        if metric in _COMPARED:
+            cells.append((f"{metric}_std", (metric, "std")))
+    cells += [(f"{key}_mean", ("ledger_means", key)) for key in _LEDGER]
+    return cells + [("fallback_runs", ("fallback_runs",))]
+
+
+_CSV_CELLS = _csv_cells()
 
 
 def _json_text(doc) -> str:
@@ -399,31 +411,13 @@ def emit_report(report: dict, out_dir: str | Path, timings: dict | None = None) 
     _write_json(out / "report.json", report)
     with (out / "report.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(["case", "mode", "runs", *(header for header, _ in _CSV_CELLS)])
         for case_key in sorted(report["cases"]):
             case = report["cases"][case_key]
             for mode in sorted(case["modes"]):
                 block = case["modes"][mode]
-                row = [
-                    case_key,
-                    mode,
-                    len(block["runs"]),
-                    block["idi_ratio"]["mean"],
-                    block["idi_ratio"]["std"],
-                    block["eod"]["mean"],
-                    block["eod"]["std"],
-                    block["spd"]["mean"],
-                    block["spd"]["std"],
-                    block["idi_count"]["mean"],
-                    block["sample_count"]["mean"],
-                    block["ledger_means"]["pairs_without_relaxation"],
-                    block["ledger_means"]["pairs_with_relaxation"],
-                    block["ledger_means"]["invalid_pairs"],
-                    block["ledger_means"]["repaired_pairs"],
-                    block["ledger_means"]["failed_samples"],
-                    block["fallback_runs"],
-                ]
-                writer.writerow(row)
+                cells = [reduce(getitem, path, block) for _, path in _CSV_CELLS]
+                writer.writerow([case_key, mode, len(block["runs"]), *cells])
     if timings is not None:
         _write_json(out / "timings.json", timings)
     return {
@@ -481,8 +475,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    doc_a = json.loads(Path(args.report_a).read_text(encoding="utf-8"))
-    doc_b = json.loads(Path(args.report_b).read_text(encoding="utf-8"))
+    doc_a = read_json_object(args.report_a, "report", ConfigInvalid)
+    doc_b = read_json_object(args.report_b, "report", ConfigInvalid)
     out_doc = {}
     for case_key in sorted(set(doc_a["cases"]) & set(doc_b["cases"])):
         modes_a = doc_a["cases"][case_key]["modes"]
@@ -505,7 +499,7 @@ def _retrain_case(run: _RunState, sensitive: str) -> dict:
     config, dataset = run.config, run.dataset
     s_idx = dataset.schema.index(sensitive)
     rule = _group_rule(config, dataset, sensitive)
-    spec = _generator_spec(config.generators[0])
+    spec = _config_entry(GeneratorSpec, config.generators[0], "generator")
     model_cfg, model = run.model(0)
     guide, detail, _ = run.selection(sensitive)
     c_idx = dataset.schema.index(guide) if guide is not None else None
@@ -535,8 +529,8 @@ def _retrain_case(run: _RunState, sensitive: str) -> dict:
         "sensitive": sensitive,
         "selected_feature": guide,
         "corrections": len(corrections),
-        "before": [r.to_dict() for r in before],
-        "after": [r.to_dict() for r in after],
+        "before": [asdict(r) for r in before],
+        "after": [asdict(r) for r in after],
         "quality_before": model_quality(model, run.test),
         "quality_after": model_quality(retrained, run.test),
         "analysis": detail,
@@ -555,7 +549,7 @@ def cmd_retrain(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = json.loads(Path(args.results).read_text(encoding="utf-8"))
+    report = read_json_object(args.results, "report", ConfigInvalid)
     paths = emit_report(report, args.out or ".")
     print(json.dumps(paths, indent=2))
     return 0

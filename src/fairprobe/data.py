@@ -85,11 +85,6 @@ class Schema:
         except ValueError:
             raise UnknownFeature(feature) from None
 
-    def kind(self, feature: str) -> str:
-        if feature not in self.declared_kinds:
-            raise UnknownFeature(feature)
-        return self.declared_kinds[feature]
-
     @classmethod
     def from_json(cls, path: str | Path) -> "Schema":
         """Load a schema from a JSON document.
@@ -349,14 +344,6 @@ def from_arrays(
         domains=_observed_domains(matrix, schema),
         decode_maps=decode_maps,
     )
-
-
-def feature_domain(dataset: Dataset, feature: str) -> ValueDomain:
-    """Observed value domain of one feature: [min, max] for integers, code set otherwise."""
-    idx = dataset.schema.index(feature)
-    if dataset.domains is None:
-        raise EmptyData("dataset has no rows, domains are undefined")
-    return dataset.domains[idx]
 
 
 def _subset(dataset: Dataset, idx: np.ndarray) -> Dataset:

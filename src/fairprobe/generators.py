@@ -45,8 +45,6 @@ class Pair:
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-    a_from_test: bool = False
-    b_from_test: bool = False
 
     def __post_init__(self):
         if len(self.a) != len(self.b):
@@ -83,15 +81,6 @@ class PairLedger:
     repaired_pairs: int = 0
     failed_samples: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "pairs_without_relaxation": self.pairs_without_relaxation,
-            "pairs_with_relaxation": self.pairs_with_relaxation,
-            "invalid_pairs": self.invalid_pairs,
-            "repaired_pairs": self.repaired_pairs,
-            "failed_samples": self.failed_samples,
-        }
-
 
 @dataclass
 class TestSuite:
@@ -103,7 +92,6 @@ class TestSuite:
     idi_samples: list[tuple[int, ...]]
     true_pairs: list[Pair]
     ledger: PairLedger
-    seed: int
     mode: str
     budget_reached: bool
     used_fallback: bool = False
@@ -213,14 +201,7 @@ def _find_true_partners(
         if partner is None:
             failed += 1
             continue
-        pairs.append(
-            Pair(
-                a=key,
-                b=tuple(index.rows[partner].tolist()),
-                a_from_test=index.contains(key),
-                b_from_test=True,
-            )
-        )
+        pairs.append(Pair(a=key, b=tuple(index.rows[partner].tolist())))
     return pairs, failed
 
 
@@ -238,7 +219,6 @@ class _Run:
         self.invalid: list[Pair] = []
         self.invalid_keys: set[tuple] = set()
         self.ledger = PairLedger()
-        self.channels: dict[str, int] = {}
         # test rows are never sent to the model again
         self._label_cache: dict[tuple, int] = dict(index.label_of)
 
@@ -254,9 +234,6 @@ class _Run:
             for k, lab in zip(missing, labels):
                 cache[k] = int(lab)
         return cache[ka], cache[kb]
-
-    def tick(self, channel: str) -> None:
-        self.channels[channel] = self.channels.get(channel, 0) + 1
 
     def record_true_pair(self, pair: Pair) -> bool:
         key = pair.key()
@@ -350,10 +327,7 @@ def _consider_base(run: _Run, a: np.ndarray, b: np.ndarray, sensitive: int) -> N
     if la == lb or not _differs_only_at(a, b, sensitive):
         return
     if run.index.contains(ka) or run.index.contains(kb):
-        pair = Pair(
-            a=ka, b=kb, a_from_test=run.index.contains(ka), b_from_test=run.index.contains(kb)
-        )
-        if run.record_true_pair(pair):
+        if run.record_true_pair(Pair(a=ka, b=kb)):
             run.ledger.pairs_without_relaxation += 1
 
 
@@ -377,18 +351,16 @@ def _consider_causalft(
     relaxed_valid = la != lb and _relaxed_structure(a, b, sensitive, causal)
 
     if relaxed_valid and (a_in or b_in):
-        pair = Pair(a=ka, b=kb, a_from_test=a_in, b_from_test=b_in)
+        pair = Pair(a=ka, b=kb)
         key = pair.key()
         if _differs_only_at(a, b, sensitive):
             if run.record_true_pair(pair):
                 run.ledger.pairs_with_relaxation += 1
-                run.tick("direct_true")
         elif key not in run.invalid_keys and key not in run.pair_keys:
             run.invalid_keys.add(key)
             run.invalid.append(pair)
             run.ledger.pairs_with_relaxation += 1
             run.ledger.invalid_pairs += 1
-            run.tick("invalid")
         return
 
     if not a_in and not b_in:
@@ -398,10 +370,9 @@ def _consider_causalft(
             if run.record_true_pair(pair):
                 run.bank(pair.b)
                 run.ledger.pairs_with_relaxation += 1
-                run.tick("paired")
 
 
-def _finish(run: _Run, seed: int, mode: str, used_fallback: bool = False) -> TestSuite:
+def _finish(run: _Run, mode: str) -> TestSuite:
     unique = list(run.samples.keys())
     idi = [k for k in unique if k in run.idi_marks]
     return TestSuite(
@@ -409,10 +380,8 @@ def _finish(run: _Run, seed: int, mode: str, used_fallback: bool = False) -> Tes
         idi_samples=idi,
         true_pairs=run.true_pairs,
         ledger=run.ledger,
-        seed=seed,
         mode=mode,
         budget_reached=run.full(),
-        used_fallback=used_fallback,
     )
 
 
@@ -472,7 +441,7 @@ def run_base_generator(
 
     if not run.full():
         log.warning("budget %d unreachable, produced %d samples", budget, len(run.samples))
-    return _finish(run, seed, MODE_BASE)
+    return _finish(run, MODE_BASE)
 
 
 def run_causalft(
@@ -560,9 +529,8 @@ def run_causalft(
             for new_pair in found:
                 if run.record_true_pair(new_pair):
                     run.bank(new_pair.b)
-                    run.tick("repaired_new")
         run.ledger.failed_samples += failed
 
     if not run.full():
         log.warning("budget %d unreachable, produced %d samples", budget, len(run.samples))
-    return _finish(run, seed, MODE_CAUSALFT)
+    return _finish(run, MODE_CAUSALFT)

@@ -30,8 +30,8 @@ class GroupRule:
 
     def __post_init__(self):
         if self.kind == "range":
-            if self.range is None or self.range[0] > self.range[1]:
-                raise ValueError("range rule needs lo <= hi")
+            if self.range is None or len(self.range) != 2 or self.range[0] > self.range[1]:
+                raise ValueError("range rule needs [lo, hi] with lo <= hi")
         elif self.kind == "binary-value":
             if not self.alpha_values:
                 raise ValueError("binary-value rule needs alpha_values")
@@ -80,15 +80,6 @@ class FairnessReport:
     spd: float | None
     idi_count: int
     sample_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "idi_ratio": self.idi_ratio,
-            "eod": self.eod,
-            "spd": self.spd,
-            "idi_count": self.idi_count,
-            "sample_count": self.sample_count,
-        }
 
 
 def idi_ratio(suite: TestSuite) -> float:

@@ -7,7 +7,7 @@ are fed as raw reals without one-hot expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class ModelConfig:
     seed: int = 0
     early_stop_patience: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in (KIND_LOGISTIC, KIND_MLP):
             raise ConfigInvalid(f"unknown model kind {self.kind!r}")
         if self.kind == KIND_MLP and not self.hidden_sizes:
@@ -55,29 +55,6 @@ class ModelConfig:
             raise ConfigInvalid("l2 must be non-negative")
         if self.early_stop_patience is not None and self.early_stop_patience <= 0:
             raise ConfigInvalid("early_stop_patience must be positive when set")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        """Build from a config entry; `name` is the entry's label in reports."""
-        if not isinstance(doc, dict):
-            raise ConfigInvalid(f"model entry must be a JSON object, got {doc!r}")
-        problems = [] if "kind" in doc else ["missing key: kind"]
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"name"})
-        if unknown:
-            problems.append(f"unknown keys: {', '.join(unknown)}")
-        if problems:
-            raise ConfigInvalid(f"model {doc.get('name', '?')!r}: {'; '.join(problems)}")
-        return cls(
-            kind=doc["kind"],
-            hidden_sizes=tuple(doc.get("hidden_sizes", ())),
-            dropout=tuple(doc.get("dropout", ())),
-            learning_rate=doc.get("learning_rate", 0.001),
-            batch_size=doc.get("batch_size", 128),
-            epochs=doc.get("epochs", 50),
-            l2=doc.get("l2", 0.0),
-            seed=doc.get("seed", 0),
-            early_stop_patience=doc.get("early_stop_patience"),
-        )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -171,7 +148,6 @@ def train(train_data: Dataset, config: ModelConfig) -> ModelUnderTest:
     slice drawn with the training seed controls early stopping and the best
     validation parameters are restored.
     """
-    config.validate()
     train_data.require_rows("training data")
     rng = np.random.default_rng(config.seed)
     X_all = train_data.rows.astype(float)

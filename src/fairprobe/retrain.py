@@ -11,6 +11,7 @@ from .data import Dataset, from_arrays
 from .generators import GeneratorSpec, TestSuite, run_causalft
 from .metrics import FairnessReport, GroupRule, build_report
 from .models import ModelConfig, ModelUnderTest, train
+from .stats import _midranks
 
 
 def correct_pairs(
@@ -73,16 +74,7 @@ def model_quality(model: ModelUnderTest, data: Dataset) -> dict:
     if n_pos == 0 or n_neg == 0:
         auc = None
     else:
-        order = np.argsort(probs, kind="mergesort")
-        ranks = np.empty(len(probs))
-        sorted_p = probs[order]
-        i = 0
-        while i < len(probs):
-            j = i
-            while j + 1 < len(probs) and sorted_p[j + 1] == sorted_p[i]:
-                j += 1
-            ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
+        ranks = _midranks(probs)
         auc = float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
     return {"accuracy": acc, "f1": f1, "auc": auc}
 
@@ -99,15 +91,14 @@ def retrain_and_retest(
     runs: int,
     seed: int,
     rule: GroupRule,
-    old_model: ModelUnderTest | None = None,
+    old_model: ModelUnderTest,
     domains=None,
 ) -> tuple[list[FairnessReport], list[FairnessReport], ModelUnderTest]:
-    """Retrain from scratch on train + corrections, then re-test the old and
-    new models side by side over `runs` seeded generation runs.
+    """Retrain from scratch on train + corrections, then re-test `old_model`
+    (trained under `model_config`) and the new model side by side over `runs`
+    seeded generation runs.
 
     Returns (reports before, reports after, the retrained model)."""
-    if old_model is None:
-        old_model = train(train_data, model_config)
     augmented = augment_training_data(train_data, corrections)
     retrained = train(augmented, replace(model_config, seed=model_config.seed + 1))
 

@@ -106,14 +106,6 @@ class ComparisonResult:
     significant: bool
     direction: str  # "better" | "worse" | "none"
 
-    def to_dict(self) -> dict:
-        return {
-            "p_value": self.p_value,
-            "a12": self.a12,
-            "significant": self.significant,
-            "direction": self.direction,
-        }
-
 
 def joint_significance(p: float, a12: float) -> tuple[bool, str]:
     """Significant only when p < 0.05 and the effect size is non-trivial;

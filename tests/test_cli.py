@@ -111,11 +111,24 @@ class TestRunExperiment:
         case_count = len(report["cases"])
         mode_count = len(next(iter(report["cases"].values()))["modes"])
         assert len(rows) == case_count * mode_count
+        assert list(rows[0]) == [
+            "case", "mode", "runs",
+            "idi_ratio_mean", "idi_ratio_std", "eod_mean", "eod_std", "spd_mean", "spd_std",
+            "idi_count_mean", "sample_count_mean",
+            "pairs_without_relaxation_mean", "pairs_with_relaxation_mean",
+            "invalid_pairs_mean", "repaired_pairs_mean", "failed_samples_mean",
+            "fallback_runs",
+        ]
         doc = json.loads((out / "report.json").read_text())
         for row in rows:
             block = doc["cases"][row["case"]]["modes"][row["mode"]]
-            assert float(row["idi_ratio_mean"]) == block["idi_ratio"]["mean"]
-            assert float(row["spd_mean"]) == block["spd"]["mean"]
+            assert int(row["runs"]) == len(block["runs"])
+            assert int(row["fallback_runs"]) == block["fallback_runs"]
+            for column, cell in row.items():
+                if column.endswith(("_mean", "_std")):
+                    name, stat = column.rsplit("_", 1)
+                    expected = block[name][stat] if name in block else block["ledger_means"][name]
+                    assert cell == ("" if expected is None else repr(expected)), column
 
     def test_timings_separate_file(self, result):
         _, report, timings, out = result
@@ -265,6 +278,15 @@ class TestConfigErrors:
             ({"models": [{"name": "lr", "kind": "logistic", "hidden_sizes": [4]}]}, "hidden"),
             ({"models": [{"name": "lr", "kind": "logistic", "epochs": "5"}]}, "'lr'"),
             ({"models": ["logistic"]}, "JSON object"),
+            ({"generators": ["random"]}, "JSON object"),
+            ({"generators": [{"name": "g", "kind": "random", "steps": 3, "size": 2}]},
+             "unknown keys: size, steps"),
+            ({"group_rules": {"gender": {"kind": "range"}}}, "lo <= hi"),
+            ({"group_rules": {"gender": {"kind": "range", "range": [5, 1]}}}, "lo <= hi"),
+            ({"group_rules": {"gender": "range"}}, "JSON object"),
+            ({"group_rules": {"gender": {"kind": "bogus", "alpha_values": [1]}}}, "bogus"),
+            ({"group_rules": {"gender": {"alpha_values": [1]}}}, "missing key: kind"),
+            ({"group_rules": ["gender"]}, "group_rules"),
         ],
         ids=[
             "unknown_key",
@@ -275,6 +297,14 @@ class TestConfigErrors:
             "logistic_with_hidden_sizes",
             "model_value_of_wrong_type",
             "model_not_an_object",
+            "generator_not_an_object",
+            "generator_with_two_unknown_keys",
+            "range_rule_without_range",
+            "range_rule_with_lo_above_hi",
+            "group_rule_not_an_object",
+            "unknown_group_rule_kind",
+            "group_rule_without_kind",
+            "group_rules_not_an_object",
         ],
     )
     def test_exit_code_one(self, demo_files, tmp_path, capsys, overrides, named):
@@ -298,6 +328,20 @@ class TestConfigErrors:
             path = tmp_path / "absent.json"
         named = path if broken == "missing_config" else schema
         assert main(["test", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert str(named) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    def test_unreadable_report_exits_one(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.json"
+        not_json = tmp_path / "report.json"
+        not_json.write_text("{not json", encoding="utf-8")
+        if command == "compare":
+            argv = ["compare", "--report-a", str(missing), "--report-b", str(not_json)]
+            named = missing
+        else:
+            argv = ["report", "--results", str(not_json), "--out", str(tmp_path / "out")]
+            named = not_json
+        assert main(argv) == 1
         assert str(named) in capsys.readouterr().err
 
 

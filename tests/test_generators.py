@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -272,7 +274,7 @@ class TestBaseGenerator:
         s2 = run_base_generator(spec, demo_lr, test_data, s_idx, 400, 7, domains=demo_dataset.domains)
         assert s1.unique_samples == s2.unique_samples
         assert s1.idi_samples == s2.idi_samples
-        assert s1.ledger.to_dict() == s2.ledger.to_dict()
+        assert s1.ledger == s2.ledger
 
     def test_empty_test_data(self, demo_dataset):
         from fairprobe.data import split_train_test
@@ -325,14 +327,14 @@ class TestCausalFT:
         suite = self.make_suite(demo_split, demo_lr, demo_dataset)
         ledger = suite.ledger
         assert ledger.repaired_pairs <= ledger.invalid_pairs
-        assert all(v >= 0 for v in ledger.to_dict().values())
+        assert all(v >= 0 for v in asdict(ledger).values())
 
     def test_reproducible_under_seed(self, demo_split, demo_lr, demo_dataset):
         s1 = self.make_suite(demo_split, demo_lr, demo_dataset, seed=21)
         s2 = self.make_suite(demo_split, demo_lr, demo_dataset, seed=21)
         assert s1.unique_samples == s2.unique_samples
         assert s1.idi_samples == s2.idi_samples
-        assert s1.ledger.to_dict() == s2.ledger.to_dict()
+        assert s1.ledger == s2.ledger
 
     def test_test_rows_labelled_once(self, demo_split, demo_lr, demo_dataset, monkeypatch):
         sent = []

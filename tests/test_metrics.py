@@ -43,7 +43,6 @@ def suite_of(n_samples, n_idi):
         idi_samples=samples[:n_idi],
         true_pairs=[],
         ledger=PairLedger(),
-        seed=0,
         mode="base",
         budget_reached=True,
     )
@@ -108,7 +107,6 @@ class TestIdiRatio:
             idi_samples=suite.idi_samples,
             true_pairs=[],
             ledger=PairLedger(),
-            seed=0,
             mode="base",
             budget_reached=True,
         )
@@ -220,13 +218,12 @@ class TestLabelInheritance:
         test_rows = np.array([[0, 4], [1, 9]])
         test_labels = np.array([1, 0])
         ds = from_arrays(test_rows, test_labels, schema)
-        pair = Pair(a=(0, 4), b=(1, 4), a_from_test=True, b_from_test=False)
+        pair = Pair(a=(0, 4), b=(1, 4))
         suite = TestSuite(
             unique_samples=[(0, 4), (1, 4)],
             idi_samples=[(0, 4), (1, 4)],
             true_pairs=[pair],
             ledger=PairLedger(),
-            seed=0,
             mode="causalft",
             budget_reached=True,
         )

@@ -34,17 +34,17 @@ def fixed_logistic(weights, bias):
 class TestConfigValidation:
     def test_mlp_needs_hidden_layer(self):
         with pytest.raises(ConfigInvalid):
-            ModelConfig(kind="mlp").validate()
+            ModelConfig(kind="mlp")
 
     def test_logistic_takes_no_hidden(self):
         with pytest.raises(ConfigInvalid):
-            ModelConfig(kind="logistic", hidden_sizes=(4,)).validate()
+            ModelConfig(kind="logistic", hidden_sizes=(4,))
 
     def test_dropout_constraints(self):
         with pytest.raises(ConfigInvalid):
-            ModelConfig(kind="mlp", hidden_sizes=(4,), dropout=(0.1, 0.1)).validate()
+            ModelConfig(kind="mlp", hidden_sizes=(4,), dropout=(0.1, 0.1))
         with pytest.raises(ConfigInvalid):
-            ModelConfig(kind="mlp", hidden_sizes=(4,), dropout=(1.0,)).validate()
+            ModelConfig(kind="mlp", hidden_sizes=(4,), dropout=(1.0,))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -61,11 +61,11 @@ class TestConfigValidation:
         base = {"kind": "mlp", "hidden_sizes": (4,)}
         base.update(kwargs)
         with pytest.raises(ConfigInvalid):
-            ModelConfig(**base).validate()
+            ModelConfig(**base)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigInvalid):
-            ModelConfig(kind="forest").validate()
+            ModelConfig(kind="forest")
 
 
 class TestTraining:

@@ -39,7 +39,6 @@ def suite_with(pairs):
         idi_samples=list(dict.fromkeys(banked)),
         true_pairs=list(pairs),
         ledger=PairLedger(),
-        seed=0,
         mode="causalft",
         budget_reached=True,
     )
