@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -95,12 +96,12 @@ class CausalEffect:
     raw_repeats: tuple[float, ...]
 
 
-def _entropy(u: np.ndarray) -> float:
-    # maximum-entropy approximation for a standardized variable
+def _entropy(U: np.ndarray) -> np.ndarray:
+    # maximum-entropy approximation, one value per standardized column
     return (
         (1.0 + np.log(2.0 * np.pi)) / 2.0
-        - _K1 * (np.mean(np.log(np.cosh(u))) - _GAMMA) ** 2
-        - _K2 * np.mean(u * np.exp(-(u**2) / 2.0)) ** 2
+        - _K1 * (np.mean(np.log(np.cosh(U)), axis=0) - _GAMMA) ** 2
+        - _K2 * np.mean(U * np.exp(-(U**2) / 2.0), axis=0) ** 2
     )
 
 
@@ -111,39 +112,32 @@ def _residual(xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
     return xi - (np.cov(xi, xj, bias=True)[0, 1] / var) * xj
 
 
-def _standardize(x: np.ndarray) -> np.ndarray:
-    sd = np.std(x)
-    if sd < 1e-12:
-        return np.zeros_like(x)
-    return (x - np.mean(x)) / sd
+def _standardize(X: np.ndarray) -> np.ndarray:
+    """Columns scaled to mean 0 and variance 1; a constant column becomes 0."""
+    sd = X.std(axis=0)
+    return np.divide(X - X.mean(axis=0), sd, out=np.zeros_like(X), where=sd >= 1e-12)
 
 
 def _exogeneity_order(X: np.ndarray) -> list[int]:
-    """Causal order of columns: repeatedly pick the most exogenous variable."""
-    d = X.shape[1]
-    remaining = list(range(d))
+    """Causal order of columns: repeatedly pick the most exogenous variable,
+    the one with the least sum over the others j of min(0, H(x_j) + H(r_i|j)
+    - H(x_i) - H(r_j|i))^2, r_i|j being the residual of x_i regressed on x_j."""
+    remaining = list(range(X.shape[1]))
     work = X.astype(float).copy()
     order: list[int] = []
     while remaining:
-        if len(remaining) == 1:
-            m = remaining[0]
-        else:
-            scores = []
-            for i in remaining:
-                xi = _standardize(work[:, i])
-                total = 0.0
-                for j in remaining:
-                    if j == i:
-                        continue
-                    xj = _standardize(work[:, j])
-                    ri_j = _residual(xi, xj)
-                    rj_i = _residual(xj, xi)
-                    diff = (_entropy(xj) + _entropy(_standardize(ri_j))) - (
-                        _entropy(xi) + _entropy(_standardize(rj_i))
-                    )
-                    total += min(0.0, diff) ** 2
-                scores.append(-total)
-            m = remaining[int(np.argmax(scores))]
+        Z = _standardize(work[:, remaining])
+        Z -= Z.mean(axis=0)  # centred exactly, as np.cov centres its input
+        cov = Z.T @ Z / len(Z)
+        var = np.diag(cov)
+        # slope of column i on column j; a constant regressor leaves x_i as is
+        slope = np.divide(cov, var, out=np.zeros_like(cov), where=var >= 1e-12)
+        # res_h[i, j] = H(r_i|j), from one n x r block of residuals per i
+        res_h = np.array([_entropy(_standardize(Z[:, [i]] - Z * s)) for i, s in enumerate(slope)])
+        h = _entropy(Z)
+        diff = (h[None, :] + res_h) - (h[:, None] + res_h.T)
+        np.fill_diagonal(diff, 0.0)
+        m = remaining[int(np.argmin((np.minimum(diff, 0.0) ** 2).sum(axis=1)))]
         order.append(m)
         for i in remaining:
             if i != m:
@@ -237,27 +231,26 @@ def direct_features(graph: CausalGraph, sensitive: str, label: str) -> list[str]
     return out
 
 
-def _interventional_label_probability(
+def _interventional_label_probabilities(
     weights: np.ndarray,
     residuals: np.ndarray,
     V: np.ndarray,
     topo: Sequence[int],
     node: int,
-    value: float,
+    values: Sequence[float],
     label_idx: int,
-) -> float:
-    """p(y=1 | do(node=value)) over the sampled rows.
+) -> np.ndarray:
+    """p(y=1 | do(node=v)) over the sampled rows, for each v in `values`.
 
     The intervened column is overwritten, every downstream node is recomputed
     through the fitted linear structural model with each row's own residual,
-    and the label node's structural value is thresholded at 0.5.
-    """
-    out = V.copy()
-    out[:, node] = value
-    start = topo.index(node) + 1
-    for j in topo[start:]:
-        out[:, j] = out @ weights[j] + residuals[:, j]
-    return float(np.mean(out[:, label_idx] >= 0.5))
+    and the label node's structural value is thresholded at 0.5, for all
+    values at once in one (values x rows x nodes) array."""
+    out = np.repeat(V[None], len(values), axis=0)
+    out[:, :, node] = np.asarray(values, dtype=float)[:, None]
+    for j in topo[topo.index(node) + 1 :]:
+        out[:, :, j] = out @ weights[j] + residuals[:, j]
+    return np.mean(out[:, :, label_idx] >= 0.5, axis=1)
 
 
 def _effect_on_rows(
@@ -283,26 +276,18 @@ def _effect_on_rows(
     # residuals of the pruned model; recomputing all downstream nodes with
     # these reproduces the observed values exactly when nothing is intervened
     residuals = V - V @ graph.weights.T
-    topo = list(graph.topo_order)
-
-    p_alpha = np.array(
-        [
-            _interventional_label_probability(
-                graph.weights, residuals, V, topo, s, a, label_idx
-            )
-            for a in v_alpha
-        ]
-    )
-    p_beta = np.array(
-        [
-            _interventional_label_probability(
-                graph.weights, residuals, V, topo, c, b, label_idx
-            )
-            for b in v_beta
-        ]
-    )
+    args = (graph.weights, residuals, V, list(graph.topo_order))
+    p_alpha = _interventional_label_probabilities(*args, s, v_alpha, label_idx)
+    p_beta = _interventional_label_probabilities(*args, c, v_beta, label_idx)
     total = np.abs(p_alpha[:, None] - p_beta[None, :]).sum()
     return theta * float(total) / (len(v_alpha) * len(v_beta))
+
+
+def _require_direct(graph: CausalGraph, sensitive: str, candidate: str) -> None:
+    if candidate not in direct_features(graph, sensitive, graph.label):
+        raise NotDirectlyRelevant(
+            f"{candidate!r} is not a direct causally relevant feature of {sensitive!r}"
+        )
 
 
 def causal_effect(
@@ -315,10 +300,7 @@ def causal_effect(
 ) -> float:
     """Coefficient-weighted mean absolute gap between the interventional label
     probabilities of the sensitive feature and the candidate, over m sampled rows."""
-    if candidate not in direct_features(graph, sensitive, graph.label):
-        raise NotDirectlyRelevant(
-            f"{candidate!r} is not a direct causally relevant feature of {sensitive!r}"
-        )
+    _require_direct(graph, sensitive, candidate)
     data.require_rows("effect estimation data")
     if m <= 0:
         raise ValueError("m must be positive")
@@ -342,19 +324,17 @@ def bootstrap_effect(
 
     For an even number of repeats the lower of the two middle values is taken.
     """
-    if candidate not in direct_features(graph, sensitive, graph.label):
-        raise NotDirectlyRelevant(
-            f"{candidate!r} is not a direct causally relevant feature of {sensitive!r}"
-        )
+    _require_direct(graph, sensitive, candidate)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     data.require_rows("effect estimation data")
-    streams = np.random.SeedSequence(seed).spawn(repeats)
-    values = []
-    for r in range(repeats):
-        rng = np.random.default_rng(streams[r])
-        row_idx = rng.integers(0, data.n_rows, size=m)
-        values.append(_effect_on_rows(graph, data, sensitive, candidate, row_idx))
+    values = [
+        _effect_on_rows(
+            graph, data, sensitive, candidate,
+            np.random.default_rng(stream).integers(0, data.n_rows, size=m),
+        )
+        for stream in np.random.SeedSequence(seed).spawn(repeats)
+    ]
     ordered = sorted(values)
     median = ordered[(len(ordered) - 1) // 2]
     return CausalEffect(feature=candidate, effect=median, raw_repeats=tuple(values))
@@ -369,14 +349,8 @@ def select_causal_feature(
         raise NoDirectFeature("no directly relevant non-sensitive features")
     if order is not None:
         rank = {name: k for k, name in enumerate(order)}
-        keyed = sorted(effects, key=lambda e: rank.get(e.feature, len(rank)))
-    else:
-        keyed = list(effects)
-    best = keyed[0]
-    for eff in keyed[1:]:
-        if eff.effect > best.effect:
-            best = eff
-    return best.feature
+        effects = sorted(effects, key=lambda e: rank.get(e.feature, len(rank)))
+    return max(effects, key=lambda e: e.effect).feature  # the first of equal maxima
 
 
 def select_correlation_feature(data: Dataset, sensitive: str) -> str:
@@ -414,11 +388,5 @@ def graph_stability(graphs: Sequence[CausalGraph]) -> float:
     for g in graphs[1:]:
         if g.nodes != nodes:
             raise NodeSetMismatch("graphs are over different node sets")
-    adjs = [g.adjacency() for g in graphs]
-    total = 0
-    pairs = 0
-    for i in range(len(adjs)):
-        for j in range(i + 1, len(adjs)):
-            total += int(np.sum(adjs[i] != adjs[j]))
-            pairs += 1
-    return total / pairs
+    dists = [int(np.sum(a != b)) for a, b in combinations([g.adjacency() for g in graphs], 2)]
+    return sum(dists) / len(dists)

@@ -29,6 +29,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import reduce
 from operator import getitem
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .causal import (
     CausalEffect,
@@ -83,6 +85,13 @@ class ExperimentConfig:
     run_retrain: bool = False
 
     def validate(self) -> None:
+        hints = get_type_hints(ExperimentConfig)
+        for f in fields(self):
+            value, hint = getattr(self, f.name), hints[f.name]
+            allowed = get_args(hint) if isinstance(hint, UnionType) else (get_origin(hint) or hint,)
+            allowed += (int,) if float in allowed else ()  # JSON may write 100.0 as 100
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise ConfigInvalid(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.budget < 0:
             raise ConfigInvalid("budget must be >= 0")
         if self.runs < 1:
@@ -99,8 +108,6 @@ class ExperimentConfig:
             _config_entry(ModelConfig, doc, "model")
         for doc in self.generators:
             _config_entry(GeneratorSpec, doc, "generator")
-        if not isinstance(self.group_rules, dict):
-            raise ConfigInvalid("group_rules must map feature names to rules")
         for feature, doc in self.group_rules.items():
             _config_entry(GroupRule, doc, f"{feature} group rule", feature=feature)
 
@@ -474,17 +481,38 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    doc_a = read_json_object(args.report_a, "report", ConfigInvalid)
-    doc_b = read_json_object(args.report_b, "report", ConfigInvalid)
-    out_doc = {}
-    for case_key in sorted(set(doc_a["cases"]) & set(doc_b["cases"])):
-        modes_a = doc_a["cases"][case_key]["modes"]
-        modes_b = doc_b["cases"][case_key]["modes"]
-        out_doc[case_key] = {
-            mode: _compare_modes(modes_a[mode]["runs"], modes_b[mode]["runs"])
-            for mode in sorted(set(modes_a) & set(modes_b))
+@contextmanager
+def _report_keys(path: str):
+    """A missing or malformed part of the report read from `path` raises ConfigInvalid."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        what = f"{type(exc).__name__}: {exc}"
+        raise ConfigInvalid(f"report file {path} is not a report ({what})") from None
+
+
+def _report_runs(path: str) -> dict:
+    """{case: {mode: the runs' compared metrics}} of a report file."""
+    doc = read_json_object(path, "report", ConfigInvalid)
+    with _report_keys(path):
+        return {
+            case: {
+                mode: [{m: run[m] for m in _COMPARED} for run in block["runs"]]
+                for mode, block in body["modes"].items()
+            }
+            for case, body in doc["cases"].items()
         }
+
+
+def cmd_compare(args) -> int:
+    runs_a, runs_b = _report_runs(args.report_a), _report_runs(args.report_b)
+    out_doc = {
+        case: {
+            mode: _compare_modes(runs_a[case][mode], runs_b[case][mode])
+            for mode in sorted(set(runs_a[case]) & set(runs_b[case]))
+        }
+        for case in sorted(set(runs_a) & set(runs_b))
+    }
     if args.out:
         _write_json(Path(args.out), out_doc)
     else:
@@ -550,7 +578,8 @@ def cmd_retrain(args) -> int:
 
 def cmd_report(args) -> int:
     report = read_json_object(args.results, "report", ConfigInvalid)
-    paths = emit_report(report, args.out or ".")
+    with _report_keys(args.results):
+        paths = emit_report(report, args.out or ".")
     print(json.dumps(paths, indent=2))
     return 0
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,10 +103,6 @@ class TestSuite:
         )
 
 
-def _as_vec(sample) -> np.ndarray:
-    return np.asarray(sample, dtype=np.int64).reshape(-1)
-
-
 def _differs_only_at(a: np.ndarray, b: np.ndarray, idx: int) -> bool:
     """The members differ at idx and nowhere else."""
     return (a != b).nonzero()[0].tolist() == [idx]
@@ -124,15 +121,17 @@ def _check_pair_width(pair: Pair, model: ModelUnderTest) -> None:
         )
 
 
+def _labelled_apart(pair: Pair, model: ModelUnderTest) -> bool:
+    labels, _ = model.predict_batch(np.array([pair.a, pair.b], dtype=float))
+    return labels[0] != labels[1]
+
+
 def is_true_idi(pair: Pair, model: ModelUnderTest, sensitive: int) -> bool:
     """True iff the members differ exactly at the sensitive index and the model
     labels them differently."""
     _check_pair_width(pair, model)
-    a, b = _as_vec(pair.a), _as_vec(pair.b)
-    if not _differs_only_at(a, b, sensitive):
-        return False
-    labels, _ = model.predict_batch(np.stack([a, b]).astype(float))
-    return labels[0] != labels[1]
+    a, b = np.asarray(pair.a), np.asarray(pair.b)
+    return _differs_only_at(a, b, sensitive) and _labelled_apart(pair, model)
 
 
 def is_relaxed_idi(pair: Pair, model: ModelUnderTest, sensitive: int, causal: int) -> bool:
@@ -141,11 +140,8 @@ def is_relaxed_idi(pair: Pair, model: ModelUnderTest, sensitive: int, causal: in
     if sensitive == causal:
         raise IndexCollision("sensitive and causal feature indices must differ")
     _check_pair_width(pair, model)
-    a, b = _as_vec(pair.a), _as_vec(pair.b)
-    if not _relaxed_structure(a, b, sensitive, causal):
-        return False
-    labels, _ = model.predict_batch(np.stack([a, b]).astype(float))
-    return labels[0] != labels[1]
+    a, b = np.asarray(pair.a), np.asarray(pair.b)
+    return _relaxed_structure(a, b, sensitive, causal) and _labelled_apart(pair, model)
 
 
 class _TestIndex:
@@ -186,17 +182,16 @@ class _TestIndex:
 
 
 def _find_true_partners(
-    pair_members: list[tuple[np.ndarray, int]],
+    pair_members: list[tuple[tuple, int]],
     index: _TestIndex,
     rng: np.random.Generator,
 ) -> tuple[list[Pair], int]:
-    """Pair each (vector, label) with a test row under the true definition.
+    """Pair each (sample key, label) with a test row under the true definition.
 
     Returns the formed pairs and the count of members with no eligible partner.
     """
     pairs, failed = [], 0
-    for vec, label in pair_members:
-        key = tuple(vec.tolist())
+    for key, label in pair_members:
         partner = index.find_partner(key, label, rng)
         if partner is None:
             failed += 1
@@ -226,13 +221,18 @@ class _Run:
         if len(self.samples) < self.budget and key not in self.samples:
             self.samples[key] = None
 
+    def label(self, keys: Iterable[tuple]) -> None:
+        """Cache the keyed samples' labels, with one model query for the uncached."""
+        cache = self._label_cache
+        missing = [k for k in dict.fromkeys(keys) if k not in cache]
+        if missing:
+            labels, _ = self.model.predict_batch(np.asarray(missing, dtype=float))
+            cache.update(zip(missing, labels.tolist()))
+
     def labels_of(self, ka: tuple, kb: tuple) -> tuple[int, int]:
         cache = self._label_cache
         if ka not in cache or kb not in cache:
-            missing = [k for k in (ka, kb) if k not in cache]
-            labels, _ = self.model.predict_batch(np.asarray(missing, dtype=float))
-            for k, lab in zip(missing, labels):
-                cache[k] = int(lab)
+            self.label((ka, kb))
         return cache[ka], cache[kb]
 
     def record_true_pair(self, pair: Pair) -> bool:
@@ -293,8 +293,7 @@ def _iter_candidates(
                     return
     else:  # adf_lite
         a, b = a0.copy(), b0.copy()
-        ga = input_gradient(model, a.astype(float))
-        gb = input_gradient(model, b.astype(float))
+        ga, gb = input_gradient(model, np.stack([a, b]))
         direction = np.sign(ga - gb).astype(int)
         for idx in mutable:
             if direction[idx]:
@@ -302,8 +301,7 @@ def _iter_candidates(
         b[mutable] = a[mutable]
         yield a.copy(), b.copy()
         for _ in range(min(spec.local_steps, limit - 1)):
-            ga = input_gradient(model, a.astype(float))
-            gb = input_gradient(model, b.astype(float))
+            ga, gb = input_gradient(model, np.stack([a, b]))
             weight = 1.0 / (np.abs(ga[mutable]) + np.abs(gb[mutable]) + 1e-9)
             probs = weight / weight.sum()
             idx = mutable[int(rng.choice(len(mutable), p=probs))]
@@ -316,9 +314,14 @@ def _iter_candidates(
             yield a.copy(), b.copy()
 
 
-def _consider_base(run: _Run, a: np.ndarray, b: np.ndarray, sensitive: int) -> None:
-    ka = tuple(a.tolist())
-    kb = tuple(b.tolist())
+def _keyed(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
+    """(a, b, key of a, key of b) for each pair; the keys index a run's samples and labels."""
+    return [(a, b, tuple(a.tolist()), tuple(b.tolist())) for a, b in pairs]
+
+
+def _consider_base(
+    run: _Run, a: np.ndarray, b: np.ndarray, ka: tuple, kb: tuple, sensitive: int
+) -> None:
     run.bank(ka)
     run.bank(kb)
     if ka == kb:
@@ -335,12 +338,12 @@ def _consider_causalft(
     run: _Run,
     a: np.ndarray,
     b: np.ndarray,
+    ka: tuple,
+    kb: tuple,
     sensitive: int,
     causal: int,
     rng: np.random.Generator,
 ) -> None:
-    ka = tuple(a.tolist())
-    kb = tuple(b.tolist())
     run.bank(ka)
     run.bank(kb)
     if ka == kb:
@@ -365,14 +368,37 @@ def _consider_causalft(
 
     if not a_in and not b_in:
         # only a perturbed sample and a test row may form a counted pair
-        found, _failed = _find_true_partners([(a, la), (b, lb)], run.index, rng)
+        found, _failed = _find_true_partners([(ka, la), (kb, lb)], run.index, rng)
         for pair in found:
             if run.record_true_pair(pair):
                 run.bank(pair.b)
                 run.ledger.pairs_with_relaxation += 1
 
 
+def _start(
+    model: ModelUnderTest,
+    test_data: Dataset,
+    sensitive: int,
+    budget: int,
+    seed: int,
+    domains: Sequence[ValueDomain] | None,
+) -> tuple[Sequence[ValueDomain], np.random.Generator, _Run]:
+    """(domains, rng, fresh run state) of one generation run; the test split's
+    observed domains stand in for missing `domains`."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    test_data.require_rows("test data")
+    if domains is None:
+        if test_data.domains is None:
+            raise EmptyData("test data has no rows")
+        domains = test_data.domains
+    index = _TestIndex(test_data, model, sensitive)
+    return domains, np.random.default_rng(seed), _Run(model, index, budget)
+
+
 def _finish(run: _Run, mode: str) -> TestSuite:
+    if not run.full():
+        log.warning("budget %d unreachable, produced %d samples", run.budget, len(run.samples))
     unique = list(run.samples.keys())
     idi = [k for k in unique if k in run.idi_marks]
     return TestSuite(
@@ -383,14 +409,6 @@ def _finish(run: _Run, mode: str) -> TestSuite:
         mode=mode,
         budget_reached=run.full(),
     )
-
-
-def _resolve_domains(test_data: Dataset, domains) -> Sequence[ValueDomain]:
-    if domains is not None:
-        return domains
-    if test_data.domains is None:
-        raise EmptyData("test data has no rows")
-    return test_data.domains
 
 
 def run_base_generator(
@@ -409,13 +427,7 @@ def run_base_generator(
     `domains` should be the frozen full-dataset domains; the test split's own
     observed domains are used when omitted.
     """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    test_data.require_rows("test data")
-    domains = _resolve_domains(test_data, domains)
-    rng = np.random.default_rng(seed)
-    index = _TestIndex(test_data, model, sensitive)
-    run = _Run(model, index, budget)
+    domains, rng, run = _start(model, test_data, sensitive, budget, seed, domains)
     mutable = [j for j in range(test_data.width) if j != sensitive]
     s_dom = domains[sensitive]
 
@@ -430,17 +442,20 @@ def run_base_generator(
             continue
         b = a.copy()
         b[sensitive] = s_dom.sample_excluding(rng, int(a[sensitive]))
-        _consider_base(run, a, b, sensitive)
+        # one label query for the seed pair and all its candidates; drawing
+        # candidates that go unused is harmless, as rng is not read after the loop
+        seed_pair, *candidates = pairs = _keyed(
+            [(a, b), *_iter_candidates(spec, model, a, b, mutable, domains, rng)]
+        )
+        run.label(k for pair in pairs for k in pair[2:])
+        _consider_base(run, *seed_pair, sensitive)
         if run.full():
             break
-        for pa, pb in _iter_candidates(spec, model, a, b, mutable, domains, rng):
+        for pair in candidates:
             evals += 1
-            _consider_base(run, pa, pb, sensitive)
+            _consider_base(run, *pair, sensitive)
             if run.full() or evals >= cap:
                 break
-
-    if not run.full():
-        log.warning("budget %d unreachable, produced %d samples", budget, len(run.samples))
     return _finish(run, MODE_BASE)
 
 
@@ -470,13 +485,7 @@ def run_causalft(
         return suite
     if causal == sensitive:
         raise IndexCollision("causal feature must differ from the sensitive feature")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    test_data.require_rows("test data")
-    domains = _resolve_domains(test_data, domains)
-    rng = np.random.default_rng(seed)
-    index = _TestIndex(test_data, model, sensitive)
-    run = _Run(model, index, budget)
+    domains, rng, run = _start(model, test_data, sensitive, budget, seed, domains)
     mutable = [j for j in range(test_data.width) if j not in (sensitive, causal)]
     s_dom, c_dom = domains[sensitive], domains[causal]
 
@@ -490,47 +499,50 @@ def run_causalft(
         drawn_b = test_data.rows[j].copy()
         evals += 1
 
-        la, lb = run.labels_of(tuple(a.tolist()), tuple(drawn_b.tolist()))
+        ka, kd = tuple(a.tolist()), tuple(drawn_b.tolist())
+        la, lb = run.labels_of(ka, kd)
         if (
             i != j
             and _relaxed_structure(a, drawn_b, sensitive, causal)
             and la != lb
         ):
             # the drawn pair already meets the relaxed criterion: keep it as-is
-            _consider_causalft(run, a, drawn_b, sensitive, causal, rng)
+            _consider_causalft(run, a, drawn_b, ka, kd, sensitive, causal, rng)
             continue
 
         if s_dom.size == 1 and c_dom.size == 1:
-            run.bank(tuple(a.tolist()))
+            run.bank(ka)
             continue
         b = a.copy()
         b[sensitive] = s_dom.sample_excluding(rng, int(a[sensitive]))
         b[causal] = c_dom.sample(rng)
         if b[sensitive] == a[sensitive] and b[causal] == a[causal]:
             b[causal] = c_dom.sample_excluding(rng, int(a[causal]))
-        _consider_causalft(run, a, b, sensitive, causal, rng)
-        if run.full():
-            break
+        kb = tuple(b.tolist())
         # one perturbation of the rebuilt pair per drawn seed: the guided loop
-        # rotates seeds faster than a base generator's own multi-step search
-        for pa, pb in _iter_candidates(spec, model, a, b, mutable, domains, rng):
+        # rotates seeds faster than a base generator's own multi-step search.
+        # It is labelled with b in one query: drawing it first is safe, as the
+        # seed pair's check reads no rng (a is a test row), unless the pair
+        # fills the run, since the repair pass reads rng next
+        run.bank(ka)
+        run.bank(kb)
+        candidates = [] if run.full() else _keyed(
+            islice(_iter_candidates(spec, model, a, b, mutable, domains, rng), 1)
+        )
+        run.label([kb, *(k for pair in candidates for k in pair[2:])])
+        _consider_causalft(run, a, b, ka, kb, sensitive, causal, rng)
+        for pair in candidates:
             evals += 1
-            _consider_causalft(run, pa, pb, sensitive, causal, rng)
-            break
+            _consider_causalft(run, *pair, sensitive, causal, rng)
 
     # invalidity repair over relaxed-only pairs
     for pair in run.invalid:
-        a = _as_vec(pair.a)
-        b = _as_vec(pair.b)
         la, lb = run.labels_of(pair.a, pair.b)
-        found, failed = _find_true_partners([(a, la), (b, lb)], index, rng)
+        found, failed = _find_true_partners([(pair.a, la), (pair.b, lb)], run.index, rng)
         if found:
             run.ledger.repaired_pairs += 1
             for new_pair in found:
                 if run.record_true_pair(new_pair):
                     run.bank(new_pair.b)
         run.ledger.failed_samples += failed
-
-    if not run.full():
-        log.warning("budget %d unreachable, produced %d samples", budget, len(run.samples))
     return _finish(run, MODE_CAUSALFT)

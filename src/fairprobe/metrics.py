@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -29,6 +30,9 @@ class GroupRule:
     alpha_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        values = self.range if self.kind == "range" else self.alpha_values
+        if not all(isinstance(v, Real) for v in values or ()):
+            raise ValueError(f"group rule values must be numbers, got {values!r}")
         if self.kind == "range":
             if self.range is None or len(self.range) != 2 or self.range[0] > self.range[1]:
                 raise ValueError("range rule needs [lo, hi] with lo <= hi")

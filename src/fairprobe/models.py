@@ -95,27 +95,24 @@ class ModelUnderTest:
         return (probs >= 0.5).astype(np.int64), probs
 
 
-def input_gradient(model: ModelUnderTest, sample) -> np.ndarray:
-    """Analytic gradient of the predicted probability w.r.t. each input feature."""
-    x = np.asarray(sample, dtype=float)
-    if x.ndim != 1:
-        x = x.reshape(-1)
-    model._check_width(x[None, :])
+def input_gradient(model: ModelUnderTest, X) -> np.ndarray:
+    """Analytic gradient of the predicted probability w.r.t. each input
+    feature: one row per row of a 2-D batch, or one vector for a 1-D row."""
+    X = np.asarray(X, dtype=float)
+    h = X if X.ndim == 2 else X.reshape(1, -1)
+    model._check_width(h)
     # forward pass, keeping pre-activations for the backward sweep
-    h = x
     pre = []
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
         z = h @ W + b
         pre.append(z)
         h = np.maximum(z, 0.0)
-    z_out = float(h @ model.weights[-1][:, 0] + model.biases[-1][0])
-    p = float(_sigmoid(np.array([z_out]))[0])
-    delta = p * (1.0 - p)  # d p / d z_out
-    grad = model.weights[-1][:, 0] * delta
+    p = _sigmoid(h @ model.weights[-1][:, 0] + model.biases[-1][0])
+    # d p / d z_out times the output weights, swept back through each layer
+    grad = (p * (1.0 - p))[:, None] * model.weights[-1][:, 0]
     for W, z in zip(reversed(model.weights[:-1]), reversed(pre)):
-        grad = grad * (z > 0)
-        grad = W @ grad
-    return grad
+        grad = (grad * (z > 0)) @ W.T
+    return grad if X.ndim == 2 else grad[0]
 
 
 def _init_params(

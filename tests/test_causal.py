@@ -6,6 +6,9 @@ from conftest import SEM_TRUE_EDGES, make_effect_fixture, make_sem_dataset
 from fairprobe.causal import (
     CausalEffect,
     CausalGraph,
+    _exogeneity_order,
+    _interventional_label_probabilities,
+    _residual,
     bootstrap_effect,
     causal_effect,
     direct_features,
@@ -111,6 +114,94 @@ class TestDiscovery:
         assert lines[0] == "src,dst,weight"
         parsed = {tuple(l.split(",")[:2]): float(l.split(",")[2]) for l in lines[1:]}
         assert parsed == {("a", "b"): 1.25, ("b", "y"): -0.5}
+
+
+def pairwise_exogeneity_order(X):
+    """The per-pair form of `_exogeneity_order`: a double loop over column
+    pairs with one residual and four entropies per pair."""
+
+    def entropy(u):
+        return (
+            (1.0 + np.log(2.0 * np.pi)) / 2.0
+            - 79.047 * (np.mean(np.log(np.cosh(u))) - 0.37457) ** 2
+            - 7.4129 * np.mean(u * np.exp(-(u**2) / 2.0)) ** 2
+        )
+
+    def standardize(x):
+        sd = np.std(x)
+        return np.zeros_like(x) if sd < 1e-12 else (x - np.mean(x)) / sd
+
+    remaining = list(range(X.shape[1]))
+    work = X.astype(float).copy()
+    order = []
+    while remaining:
+        scores = []
+        for i in remaining:
+            xi = standardize(work[:, i])
+            total = 0.0
+            for j in remaining:
+                if j != i:
+                    xj = standardize(work[:, j])
+                    diff = (entropy(xj) + entropy(standardize(_residual(xi, xj)))) - (
+                        entropy(xi) + entropy(standardize(_residual(xj, xi)))
+                    )
+                    total += min(0.0, diff) ** 2
+            scores.append(-total)
+        m = remaining[int(np.argmax(scores))]
+        order.append(m)
+        for i in remaining:
+            if i != m:
+                work[:, i] = _residual(work[:, i], work[:, m])
+        remaining.remove(m)
+    return order
+
+
+class TestExogeneityOrder:
+    def test_matches_pairwise_loop_on_demo_data(self, demo_dataset):
+        X = demo_dataset.rows.astype(float)
+        assert _exogeneity_order(X) == pairwise_exogeneity_order(X)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pairwise_loop_on_non_gaussian_sem(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = 500, 5
+        noise = rng.uniform(-1.0, 1.0, (n, d)) ** 3
+        B = np.tril(rng.normal(size=(d, d)), -1)
+        X = (noise @ np.linalg.inv(np.eye(d) - B).T)[:, rng.permutation(d)]
+        # an exact copy of column 1 turns constant once column 1 is regressed out
+        X = np.column_stack([X, X[:, 1]])
+        assert np.std(_residual(X[:, -1], X[:, 1])) < 1e-12
+        assert _exogeneity_order(X) == pairwise_exogeneity_order(X)
+
+
+class TestBatchedInterventions:
+    @staticmethod
+    def per_value(weights, residuals, V, topo, node, values, label_idx):
+        """One propagation through the structural model per intervened value."""
+        probs = []
+        for value in values:
+            out = V.copy()
+            out[:, node] = value
+            for j in topo[topo.index(node) + 1 :]:
+                out[:, j] = out @ weights[j] + residuals[:, j]
+            probs.append(np.mean(out[:, label_idx] >= 0.5))
+        return np.array(probs)
+
+    def test_matches_per_value_loop(self, demo_split):
+        train_data, _ = demo_split
+        graph = discover_graph(train_data, "gender")
+        label_idx = graph.node_index(graph.label)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            rows = rng.integers(0, train_data.n_rows, 200)
+            V = np.column_stack([train_data.rows[rows], train_data.labels[rows]]).astype(float)
+            args = (graph.weights, V - V @ graph.weights.T, V, list(graph.topo_order))
+            for node in range(train_data.width):
+                values = train_data.domains[node].as_tuple()
+                assert np.array_equal(
+                    _interventional_label_probabilities(*args, node, values, label_idx),
+                    self.per_value(*args, node, values, label_idx),
+                )
 
 
 class TestDirectFeatures:

@@ -287,6 +287,11 @@ class TestConfigErrors:
             ({"group_rules": {"gender": {"kind": "bogus", "alpha_values": [1]}}}, "bogus"),
             ({"group_rules": {"gender": {"alpha_values": [1]}}}, "missing key: kind"),
             ({"group_rules": ["gender"]}, "group_rules"),
+            ({"budget": "10"}, "'budget'"),
+            ({"models": 5}, "'models'"),
+            ({"group_rules": {"age": {"kind": "range", "range": ["a", "b"]}}}, "numbers"),
+            ({"group_rules": {"gender": {"kind": "binary-value", "alpha_values": "ab"}}},
+             "numbers"),
         ],
         ids=[
             "unknown_key",
@@ -305,6 +310,10 @@ class TestConfigErrors:
             "unknown_group_rule_kind",
             "group_rule_without_kind",
             "group_rules_not_an_object",
+            "budget_of_wrong_type",
+            "models_of_wrong_type",
+            "range_of_strings",
+            "alpha_values_a_string",
         ],
     )
     def test_exit_code_one(self, demo_files, tmp_path, capsys, overrides, named):
@@ -343,6 +352,22 @@ class TestConfigErrors:
             named = not_json
         assert main(argv) == 1
         assert str(named) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    @pytest.mark.parametrize(
+        "doc, named", [("{}", "'cases'"), ('{"cases": {"x": []}}', "TypeError")],
+        ids=["empty", "case_not_an_object"],
+    )
+    def test_object_that_is_not_a_report_exits_one(self, tmp_path, capsys, command, doc, named):
+        path = tmp_path / "bad.json"
+        path.write_text(doc, encoding="utf-8")
+        if command == "compare":
+            argv = ["compare", "--report-a", str(path), "--report-b", str(path)]
+        else:
+            argv = ["report", "--results", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
 
 
 class TestSharedPipeline:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_hypercube_fixture
 
+from fairprobe import generators
 from fairprobe.data import Schema, ValueDomain, from_arrays
 from fairprobe.errors import ConfigInvalid, EmptyData, IndexCollision, WidthMismatch
 from fairprobe.generators import (
@@ -22,7 +23,7 @@ from fairprobe.generators import (
     _iter_candidates,
     _relaxed_structure,
 )
-from fairprobe.models import ModelConfig, ModelUnderTest
+from fairprobe.models import ModelConfig, ModelUnderTest, input_gradient
 
 
 def fixed_logistic(weights, bias=0.0):
@@ -386,6 +387,58 @@ class TestCausalFT:
             )
 
 
+class TestModelQueries:
+    """The engine labels each drawn seed's pairs in one model query and takes
+    the gradients of both members of a pair in one call."""
+
+    @pytest.mark.parametrize("guided", [False, True], ids=["base", "guided"])
+    def test_one_label_query_per_seed_and_paired_gradients(
+        self, guided, demo_split, demo_lr, demo_dataset, monkeypatch
+    ):
+        label_queries, gradient_inputs, perturbed_seeds = [], [], []
+        predict_batch = ModelUnderTest.predict_batch
+        iter_candidates = generators._iter_candidates
+
+        def recording_predict(model, X):
+            label_queries.append(len(X))
+            return predict_batch(model, X)
+
+        def recording_gradient(model, X):
+            gradient_inputs.append(np.array(X))
+            return input_gradient(model, X)
+
+        def counting_candidates(*args):
+            perturbed_seeds.append(1)  # once per seed that is perturbed
+            return iter_candidates(*args)
+
+        monkeypatch.setattr(ModelUnderTest, "predict_batch", recording_predict)
+        monkeypatch.setattr(generators, "input_gradient", recording_gradient)
+        monkeypatch.setattr(generators, "_iter_candidates", counting_candidates)
+        _, test_data = demo_split
+        s = demo_dataset.schema.index("gender")
+        c = demo_dataset.schema.index("relationship")
+        spec = GeneratorSpec(kind="adf_lite")
+        if guided:
+            suite = run_causalft(
+                spec, demo_lr, test_data, s, c, 600, 5, domains=demo_dataset.domains
+            )
+        else:
+            suite = run_base_generator(
+                spec, demo_lr, test_data, s, 600, 5, domains=demo_dataset.domains
+            )
+        assert suite.budget_reached and perturbed_seeds and gradient_inputs
+        index_build, *engine = label_queries
+        assert index_build == test_data.n_rows
+        # a guided seed that fills the run is labelled but never perturbed
+        assert len(engine) <= len(perturbed_seeds) + guided
+        for X in gradient_inputs:
+            assert X.shape == (2, test_data.width)
+            if guided:
+                assert _relaxed_structure(X[0], X[1], s, c)
+            else:
+                assert _differs_only_at(X[0], X[1], s)
+
+
 class TestRepairInvalid:
     """The repair pass re-pairs each member of a relaxed-only pair with a test
     row through `_find_true_partners`."""
@@ -404,10 +457,9 @@ class TestRepairInvalid:
         return schema, ds, model
 
     def repair(self, pair, ds, model):
-        members = np.array([pair.a, pair.b])
-        labels, _ = model.predict_batch(members.astype(float))
+        labels, _ = model.predict_batch(np.array([pair.a, pair.b], dtype=float))
         return _find_true_partners(
-            [(members[0], int(labels[0])), (members[1], int(labels[1]))],
+            [(pair.a, int(labels[0])), (pair.b, int(labels[1]))],
             _TestIndex(ds, model, 0),
             np.random.default_rng(0),
         )

@@ -255,3 +255,31 @@ class TestInputGradient:
     def test_width_mismatch(self, demo_lr):
         with pytest.raises(WidthMismatch):
             input_gradient(demo_lr, np.zeros(3))
+
+    @staticmethod
+    def row_gradient(model, x):
+        """The one-row form of `input_gradient`: vector forward and backward sweeps."""
+        h, pre = np.asarray(x, dtype=float), []
+        for W, b in zip(model.weights[:-1], model.biases[:-1]):
+            pre.append(h @ W + b)
+            h = np.maximum(pre[-1], 0.0)
+        p = float(_sigmoid(np.array([h @ model.weights[-1][:, 0] + model.biases[-1][0]]))[0])
+        grad = model.weights[-1][:, 0] * (p * (1.0 - p))
+        for W, z in zip(reversed(model.weights[:-1]), reversed(pre)):
+            grad = W @ (grad * (z > 0))
+        return grad
+
+    def test_batch_rows_match_one_row_form(self, demo_lr):
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 5, size=(200, 4))
+        ds = from_arrays(rows, (rows[:, 0] + rows[:, 2] > 4).astype(int), toy_schema(4))
+        mlp = train(ds, ModelConfig(kind="mlp", hidden_sizes=(8, 4), epochs=10, seed=1))
+        for model in (demo_lr, mlp):
+            X = rng.uniform(0, 6, size=(50, model.input_width))
+            batch = input_gradient(model, X)
+            assert batch.shape == X.shape
+            for x, g in zip(X, batch):
+                np.testing.assert_allclose(g, self.row_gradient(model, x), rtol=1e-12)
+                single = input_gradient(model, x)
+                assert single.shape == (model.input_width,)
+                np.testing.assert_allclose(single, g, rtol=1e-12)
