@@ -42,7 +42,7 @@ from .causal import (
 )
 from .data import Dataset, Schema, load_csv, read_json_object, split_train_test, subsample
 from .errors import ConfigInvalid, FairprobeError, NoDirectFeature
-from .generators import GeneratorSpec, PairLedger, run_base_generator, run_causalft
+from .generators import GeneratorSpec, PairLedger, _TestIndex, run_base_generator, run_causalft
 from .metrics import FairnessReport, GroupRule, build_report
 from .models import ModelConfig, ModelUnderTest, train
 from .retrain import correct_pairs, model_quality, retrain_and_retest
@@ -92,12 +92,17 @@ class ExperimentConfig:
             allowed += (int,) if float in allowed else ()  # JSON may write 100.0 as 100
             if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
                 raise ConfigInvalid(f"config key {f.name!r} must be {f.type}, got {value!r}")
-        if self.budget < 0:
-            raise ConfigInvalid("budget must be >= 0")
-        if self.runs < 1:
-            raise ConfigInvalid("runs must be >= 1")
-        if not (0.0 < self.k_percent <= 100.0):
-            raise ConfigInvalid("k_percent must lie in (0, 100]")
+        for name, ok, rule in (
+            ("budget", self.budget >= 0, ">= 0"),
+            ("retrain_budget", self.retrain_budget is None or self.retrain_budget >= 0, ">= 0"),
+            ("runs", self.runs >= 1, ">= 1"),
+            ("m", self.m >= 1, ">= 1"),
+            ("bootstrap_repeats", self.bootstrap_repeats >= 1, ">= 1"),
+            ("k_percent", 0.0 < self.k_percent <= 100.0, "in (0, 100]"),
+            ("train_fraction", 0.0 < self.train_fraction <= 1.0, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ConfigInvalid(f"config key {name!r} must be {rule}, got {getattr(self, name)!r}")
         if self.selector not in (SELECTOR_CAUSAL, SELECTOR_CORRELATION, SELECTOR_NONE):
             raise ConfigInvalid(f"unknown selector {self.selector!r}")
         if not self.sensitive:
@@ -190,7 +195,8 @@ class _RunState:
     The split and, for the causal selector, the graph are made on
     construction. Each model and each sensitive feature's selection is
     computed on first use and then reused: by every case of the run, and at
-    run index 0 by `analyze` and `retrain`.
+    run index 0 by `analyze` and `retrain`. So is the test split's index for
+    each model and sensitive feature, which every suite of theirs shares.
     """
 
     def __init__(self, config: ExperimentConfig, dataset: Dataset, run_idx: int):
@@ -213,6 +219,7 @@ class _RunState:
             )
         self._models: dict[int, tuple[ModelConfig, ModelUnderTest]] = {}
         self._selections: dict[str, tuple] = {}
+        self._indexes: dict[tuple[int, int], _TestIndex] = {}
 
     def model(self, index: int) -> tuple[ModelConfig, ModelUnderTest]:
         """The index-th configured model, trained on this run's split."""
@@ -221,6 +228,13 @@ class _RunState:
             cfg = replace(entry, seed=self.seed)
             self._models[index] = (cfg, train(self.train, cfg))
         return self._models[index]
+
+    def index(self, model_index: int, sensitive: int) -> _TestIndex:
+        """The test split's `_TestIndex` for a configured model and a sensitive feature index."""
+        key = (model_index, sensitive)
+        if key not in self._indexes:
+            self._indexes[key] = _TestIndex(self.test, self.model(model_index)[1], sensitive)
+        return self._indexes[key]
 
     def selection(self, sensitive: str) -> tuple[str | None, dict, list[CausalEffect]]:
         """`_select_feature` for the sensitive feature on this run's graph."""
@@ -350,15 +364,17 @@ def _run_pipeline(config: ExperimentConfig) -> tuple[dict, dict, _RunState]:
                     case["analysis"].append(detail)
                     seed = derive_seed(config.seed, case_key, run_idx)
                     with _timed(timings["generation_s"], case_key):
+                        index = run.index(m_idx, s_idx)
                         suite = run_base_generator(
                             spec, model, run.test, s_idx, config.budget,
-                            derive_seed(seed, "base"), domains=dataset.domains,
+                            derive_seed(seed, "base"), domains=dataset.domains, index=index,
                         )
                         case["base"].append(_suite_summary(suite, model, run.test, rule))
                         if config.selector != SELECTOR_NONE:
                             suite = run_causalft(
                                 spec, model, run.test, s_idx, c_idx, config.budget,
                                 derive_seed(seed, "guided"), domains=dataset.domains,
+                                index=index,
                             )
                             case["causalft"].append(_suite_summary(suite, model, run.test, rule))
 
@@ -535,7 +551,7 @@ def _retrain_case(run: _RunState, sensitive: str) -> dict:
     seed = derive_seed(run.seed, "retrain", sensitive)
     suite = run_causalft(
         spec, model, run.test, s_idx, c_idx, config.budget,
-        derive_seed(seed, "corrections"), domains=dataset.domains,
+        derive_seed(seed, "corrections"), domains=dataset.domains, index=run.index(0, s_idx),
     )
     corrections = correct_pairs(suite, model, run.test)
     before, after, retrained = retrain_and_retest(

@@ -154,33 +154,38 @@ class ValueDomain:
             return tuple(range(self.lo, self.hi + 1))
         return self.values
 
-    def sample(self, rng: np.random.Generator) -> int:
-        if self.kind == "range":
-            return int(rng.integers(self.lo, self.hi + 1))
-        return int(self.values[rng.integers(len(self.values))])
+    # sample_excluding and clamp take a scalar or an array and answer in kind
 
-    def sample_excluding(self, rng: np.random.Generator, old: int) -> int:
-        """Uniform draw over the domain minus ``old``; ``old`` itself if singleton."""
+    def _nth(self, k):
+        """The k-th smallest value(s) of the domain: an int for a scalar k."""
+        out = self.lo + k if self.kind == "range" else np.asarray(self.values)[k]
+        return out if np.ndim(out) else int(out)
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return self._nth(rng.integers(self.size, size=size))
+
+    def sample_excluding(self, rng: np.random.Generator, old):
+        """Uniform draw over the domain minus ``old``, per value of ``old``:
+        over the whole domain where ``old`` lies outside it, and the one value
+        of a singleton domain."""
+        old = np.asarray(old)
         if self.size == 1:
-            return self.as_tuple()[0]
+            return self._nth(np.zeros_like(old))
         if self.kind == "range":
-            if not self.contains(old):
-                return self.sample(rng)
-            v = self.lo + int(rng.integers(self.size - 1))
-            return v + 1 if v >= old else v
-        vals = self.values
-        if old not in vals:
-            return self.sample(rng)
-        k = int(rng.integers(len(vals) - 1))
-        if k >= vals.index(old):
-            k += 1
-        return vals[k]
+            pos = old - self.lo
+            member = (pos >= 0) & (pos < self.size)
+        else:
+            vals = np.asarray(self.values)
+            pos = np.searchsorted(vals, old)
+            member = vals[np.minimum(pos, len(vals) - 1)] == old
+        k = rng.integers(self.size - member.astype(np.int64))
+        return self._nth(k + (member & (k >= pos)))
 
-    def clamp(self, v: int) -> int:
+    def clamp(self, v):
+        """The domain value(s) nearest to ``v``, the lower one on a tie."""
         if self.kind == "range":
-            return int(min(max(v, self.lo), self.hi))
-        arr = np.asarray(self.values)
-        return int(arr[np.argmin(np.abs(arr - v))])
+            return self._nth(np.clip(v, self.lo, self.hi) - self.lo)
+        return self._nth(np.abs(np.asarray(self.values) - np.expand_dims(v, -1)).argmin(-1))
 
 
 @dataclass

@@ -1,14 +1,19 @@
 """Perturbation-based test generation with optional causal guidance.
 
-Three base strategies (uniform random, single-feature sweeps, gradient-guided
-steps) share one engine. In base mode a seed pair differs only on the
-sensitive feature and every non-sensitive feature may be perturbed. In
-causally guided mode the pair may differ on the sensitive feature and its
-most causally tied non-sensitive partner; both stay fixed during perturbation,
-perturbed samples are re-paired with test rows when possible, and pairs that
-satisfy only the relaxed criterion are repaired against the test data at the
-end. Every perturbation step changes the same feature(s) of both pair members
-to the same new value, so the within-pair difference never leaks outside the
+One engine serves three strategies (random walks, single-feature sweeps,
+gradient-guided steps) in two modes, a block of seeds at a time: it proposes
+every pair of the block with array operations, labels the block's new
+samples in one model query, and consumes the pairs in draw order until the
+budget or the evaluation cap is reached.
+
+In base mode a seed pair differs only on the sensitive feature and every
+non-sensitive feature may be perturbed. In causally guided mode the pair may
+differ on the sensitive feature and its most causally tied non-sensitive
+partner; both stay fixed, each pair takes one step on a uniformly chosen
+feature, perturbed samples are re-paired with test rows when possible, and
+pairs that satisfy only the relaxed criterion are repaired against the test
+data at the end. Every step changes the same feature(s) of both members to
+the same new value, so the within-pair difference never leaks outside the
 fixed set.
 """
 
@@ -17,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +43,10 @@ MODE_CAUSALFT = "causalft"
 # random-walk steps the random strategy spends on one seed pair before
 # rotating to a new seed; each step changes one feature of both members
 _RANDOM_STEPS = 8
+
+# pairs proposed per block: a block holds as many seeds as their pairs fit,
+# which bounds its memory and the unused proposals at the end of a suite
+_BLOCK_PAIRS = 2048
 
 
 @dataclass(frozen=True)
@@ -164,38 +173,25 @@ class _TestIndex:
     def contains(self, key: tuple) -> bool:
         return key in self.label_of
 
-    def find_partner(self, key: tuple, label: int, rng: np.random.Generator) -> int | None:
-        """A random test row that differs from the keyed sample only at the
-        sensitive index and carries a different predicted label, or None."""
-        proj = key[: self.sensitive] + key[self.sensitive + 1 :]
-        bucket = self.buckets.get(proj)
-        if not bucket:
-            return None
-        eligible = [
-            i
-            for i in bucket
-            if self.rows[i, self.sensitive] != key[self.sensitive] and self.labels[i] != label
-        ]
-        if not eligible:
-            return None
-        return int(eligible[rng.integers(len(eligible))])
-
 
 def _find_true_partners(
     pair_members: list[tuple[tuple, int]],
     index: _TestIndex,
     rng: np.random.Generator,
 ) -> tuple[list[Pair], int]:
-    """Pair each (sample key, label) with a test row under the true definition.
+    """Pair each (sample key, label) with a random test row that differs from
+    it only at the sensitive index and carries a different predicted label.
 
     Returns the formed pairs and the count of members with no eligible partner.
     """
-    pairs, failed = [], 0
+    s, pairs, failed = index.sensitive, [], 0
     for key, label in pair_members:
-        partner = index.find_partner(key, label, rng)
-        if partner is None:
+        bucket = index.buckets.get(key[:s] + key[s + 1 :], ())
+        eligible = [i for i in bucket if index.rows[i, s] != key[s] and index.labels[i] != label]
+        if not eligible:
             failed += 1
             continue
+        partner = eligible[rng.integers(len(eligible))]
         pairs.append(Pair(a=key, b=tuple(index.rows[partner].tolist())))
     return pairs, failed
 
@@ -230,10 +226,8 @@ class _Run:
             cache.update(zip(missing, labels.tolist()))
 
     def labels_of(self, ka: tuple, kb: tuple) -> tuple[int, int]:
-        cache = self._label_cache
-        if ka not in cache or kb not in cache:
-            self.label((ka, kb))
-        return cache[ka], cache[kb]
+        """The labels of two samples already labelled (`label`) or test rows."""
+        return self._label_cache[ka], self._label_cache[kb]
 
     def record_true_pair(self, pair: Pair) -> bool:
         key = pair.key()
@@ -247,76 +241,6 @@ class _Run:
 
     def full(self) -> bool:
         return len(self.samples) >= self.budget
-
-
-def _iter_candidates(
-    spec: GeneratorSpec,
-    model: ModelUnderTest,
-    a0: np.ndarray,
-    b0: np.ndarray,
-    mutable: list[int],
-    domains: Sequence[ValueDomain],
-    rng: np.random.Generator,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Perturbed pairs derived from one seed pair, per the strategy kind.
-
-    Both members receive identical changes, so their difference set is frozen.
-    """
-    limit = spec.max_attempts_per_pair
-    if not mutable:
-        return
-    if spec.kind == KIND_RANDOM:
-        # one uniformly chosen feature per step, walking away from the seed
-        a, b = a0.copy(), b0.copy()
-        for _ in range(min(limit, _RANDOM_STEPS)):
-            idx = mutable[int(rng.integers(len(mutable)))]
-            dom = domains[idx]
-            if dom.size == 1:
-                continue
-            v = dom.sample_excluding(rng, int(a[idx]))
-            a[idx] = v
-            b[idx] = v
-            yield a.copy(), b.copy()
-    elif spec.kind == KIND_SG_LITE:
-        count = 0
-        for idx in mutable:
-            for v in domains[idx].as_tuple():
-                if v == a0[idx]:
-                    continue
-                a = a0.copy()
-                a[idx] = v
-                b = b0.copy()
-                b[idx] = v
-                yield a, b
-                count += 1
-                if count >= limit:
-                    return
-    else:  # adf_lite
-        a, b = a0.copy(), b0.copy()
-        ga, gb = input_gradient(model, np.stack([a, b]))
-        direction = np.sign(ga - gb).astype(int)
-        for idx in mutable:
-            if direction[idx]:
-                a[idx] = domains[idx].clamp(int(a[idx]) + spec.step_size * direction[idx])
-        b[mutable] = a[mutable]
-        yield a.copy(), b.copy()
-        for _ in range(min(spec.local_steps, limit - 1)):
-            ga, gb = input_gradient(model, np.stack([a, b]))
-            weight = 1.0 / (np.abs(ga[mutable]) + np.abs(gb[mutable]) + 1e-9)
-            probs = weight / weight.sum()
-            idx = mutable[int(rng.choice(len(mutable), p=probs))]
-            sign = 1 if rng.integers(2) else -1
-            v = domains[idx].clamp(int(a[idx]) + sign * spec.step_size)
-            if v == a[idx]:
-                v = domains[idx].clamp(int(a[idx]) - sign * spec.step_size)
-            a[idx] = v
-            b[idx] = v
-            yield a.copy(), b.copy()
-
-
-def _keyed(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
-    """(a, b, key of a, key of b) for each pair; the keys index a run's samples and labels."""
-    return [(a, b, tuple(a.tolist()), tuple(b.tolist())) for a, b in pairs]
 
 
 def _consider_base(
@@ -375,16 +299,127 @@ def _consider_causalft(
                 run.ledger.pairs_with_relaxation += 1
 
 
-def _start(
+def _pair_gradients(model: ModelUnderTest, a: np.ndarray, b: np.ndarray):
+    """Input gradients of both members of every pair, from one call on the
+    members interleaved: a[0], b[0], a[1], ..."""
+    grads = input_gradient(model, np.stack([a, b], axis=1).reshape(-1, a.shape[1]))
+    return grads[0::2], grads[1::2]
+
+
+def _resample(a, b, feats, domains, rng) -> np.ndarray:
+    """Set feature feats[i] of both members of pair i to a new value drawn
+    uniformly; returns which pairs moved (their domain is no singleton)."""
+    moved = np.zeros(len(feats), dtype=bool)
+    for j in np.unique(feats).tolist():
+        rows = feats == j
+        if domains[j].size > 1:
+            a[rows, j] = b[rows, j] = domains[j].sample_excluding(rng, a[rows, j])
+            moved |= rows
+    return moved
+
+
+def _shift(a, b, feats, signs, step: int, domains) -> np.ndarray:
+    """Move feature feats[i] of both members of pair i by `step` in the
+    direction signs[i], or the other way where the domain edge stops it;
+    returns which pairs moved."""
+    old = a[np.arange(len(feats)), feats]
+    for j in np.unique(feats).tolist():
+        rows = feats == j
+        delta = signs[rows] * step
+        new = domains[j].clamp(old[rows] + delta)
+        a[rows, j] = b[rows, j] = np.where(new == old[rows], domains[j].clamp(old[rows] - delta), new)
+    return a[np.arange(len(feats)), feats] != old
+
+
+def _candidate_count(spec: GeneratorSpec, mutable: list[int], domains, guided: bool) -> int:
+    """Candidate slots per seed pair: one step when guided, else the kind's stream."""
+    if not mutable:
+        return 0
+    if guided:
+        return 1
+    if spec.kind == KIND_RANDOM:
+        return min(spec.max_attempts_per_pair, _RANDOM_STEPS)
+    if spec.kind == KIND_SG_LITE:
+        # a seed skips at most its own value per feature, so its first
+        # max_attempts_per_pair sweep steps lie among this many
+        sweep = sum(domains[j].size for j in mutable)
+        return min(sweep, spec.max_attempts_per_pair + len(mutable))
+    return 1 + min(spec.local_steps, spec.max_attempts_per_pair - 1)
+
+
+def _propose(
+    spec: GeneratorSpec,
+    model: ModelUnderTest,
+    a0: np.ndarray,
+    b0: np.ndarray,
+    mutable: list[int],
+    domains: Sequence[ValueDomain],
+    rng: np.random.Generator,
+    guided: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, live): pair k of seed i is (a[i, k], b[i, k]), tried in slot
+    order unless dead. Slot 0 is the seed pair (a0[i], b0[i]). Base mode
+    follows with the kind's stream; guided mode with one step on a uniformly
+    chosen feature: a new value, or adf_lite's gradient-sign step.
+    """
+    seeds = len(a0)
+    steps = [(a0, b0, np.ones(seeds, dtype=bool))]
+    if not mutable:
+        return a0[:, None], b0[:, None], steps[0][2][:, None]
+    a, b = a0.copy(), b0.copy()
+    count = _candidate_count(spec, mutable, domains, guided)
+    if guided and spec.kind == KIND_ADF_LITE:
+        feats = np.asarray(mutable)[rng.integers(len(mutable), size=seeds)]
+        ga, gb = _pair_gradients(model, a, b)
+        signs = np.sign(ga - gb)[np.arange(seeds), feats].astype(np.int64)
+        steps.append((a, b, _shift(a, b, feats, signs, spec.step_size, domains)))
+    elif guided or spec.kind == KIND_RANDOM:  # a guided step is one random-walk step
+        for _ in range(count):
+            feats = np.asarray(mutable)[rng.integers(len(mutable), size=seeds)]
+            live = _resample(a, b, feats, domains, rng)
+            steps.append((a.copy(), b.copy(), live))
+    elif spec.kind == KIND_SG_LITE:
+        cells = ((j, v) for j in mutable for v in domains[j].as_tuple())
+        feat, value = np.array(list(islice(cells, count))).T
+        slot = np.arange(1, count + 1)
+        a, b = np.repeat(a0[:, None], count + 1, axis=1), np.repeat(b0[:, None], count + 1, axis=1)
+        a[:, slot, feat] = b[:, slot, feat] = value
+        live = np.ones((seeds, count + 1), dtype=bool)
+        live[:, 1:] = value != a0[:, feat]
+        live[:, 1:] &= np.cumsum(live[:, 1:], axis=1) <= spec.max_attempts_per_pair
+        return a, b, live
+    else:  # adf_lite
+        ga, gb = _pair_gradients(model, a, b)
+        step = np.sign(ga - gb).astype(np.int64) * spec.step_size
+        for j in mutable:
+            a[:, j] = np.where(step[:, j] != 0, domains[j].clamp(a[:, j] + step[:, j]), a[:, j])
+        b[:, mutable] = a[:, mutable]
+        steps.append((a.copy(), b.copy(), np.ones(seeds, dtype=bool)))
+        for _ in range(count - 1):
+            ga, gb = _pair_gradients(model, a, b)
+            weight = 1.0 / (np.abs(ga[:, mutable]) + np.abs(gb[:, mutable]) + 1e-9)
+            cdf = np.cumsum(weight / weight.sum(axis=1, keepdims=True), axis=1)
+            pick = np.minimum((cdf < rng.random((seeds, 1))).sum(axis=1), len(mutable) - 1)
+            signs = 2 * rng.integers(2, size=seeds) - 1
+            live = _shift(a, b, np.asarray(mutable)[pick], signs, spec.step_size, domains)
+            steps.append((a.copy(), b.copy(), live))
+    pa, pb, live = zip(*steps)
+    return np.stack(pa, axis=1), np.stack(pb, axis=1), np.stack(live, axis=1)
+
+
+def _generate(
+    spec: GeneratorSpec,
     model: ModelUnderTest,
     test_data: Dataset,
     sensitive: int,
+    causal: int | None,
     budget: int,
     seed: int,
     domains: Sequence[ValueDomain] | None,
-) -> tuple[Sequence[ValueDomain], np.random.Generator, _Run]:
-    """(domains, rng, fresh run state) of one generation run; the test split's
-    observed domains stand in for missing `domains`."""
+    index: _TestIndex | None,
+) -> TestSuite:
+    """The engine of both modes (causal=None is base mode). One evaluation
+    is counted per drawn seed and per candidate consumed, up to `cap`."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     test_data.require_rows("test data")
@@ -392,21 +427,83 @@ def _start(
         if test_data.domains is None:
             raise EmptyData("test data has no rows")
         domains = test_data.domains
-    index = _TestIndex(test_data, model, sensitive)
-    return domains, np.random.default_rng(seed), _Run(model, index, budget)
+    run = _Run(model, index or _TestIndex(test_data, model, sensitive), budget)
+    # partner search has its own stream, so proposals never depend on consumption
+    rng, partner_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    guided = causal is not None
+    fixed = [sensitive, causal] if guided else [sensitive]
+    # with every fixed domain a singleton no pair can differ: seeds go unperturbed
+    pairable = any(domains[j].size > 1 for j in fixed)
+    mutable = [j for j in range(test_data.width) if j not in fixed and pairable]
+    seeds = max(1, _BLOCK_PAIRS // (1 + _candidate_count(spec, mutable, domains, guided)))
+    n = test_data.n_rows
 
+    consider = _consider_causalft if guided else _consider_base
+    extra = (sensitive, causal, partner_rng) if guided else (sensitive,)
 
-def _finish(run: _Run, mode: str) -> TestSuite:
+    evals, cap = 0, max(50 * budget, 2000)
+    while not run.full() and evals < cap:
+        drawn = rng.integers(n, size=seeds)
+        a0 = test_data.rows[drawn]
+        b0 = a0.copy()
+        b0[:, sensitive] = domains[sensitive].sample_excluding(rng, a0[:, sensitive])
+        if guided:
+            # a second test row, kept as the partner if the pair is already relaxed-valid
+            other = rng.integers(n, size=seeds) if n > 1 else drawn
+            d0 = test_data.rows[other]
+            diff = a0 != d0
+            outside = np.delete(diff, fixed, axis=1).any(axis=1)
+            drawn_ok = ((drawn != other) & diff.any(axis=1) & ~outside).tolist()
+            c_dom = domains[causal]
+            b0[:, causal] = c_dom.sample(rng, seeds)
+            same = (b0[:, fixed] == a0[:, fixed]).all(axis=1)
+            b0[same, causal] = c_dom.sample_excluding(rng, a0[same, causal])
+        pa, pb, live = _propose(spec, model, a0, b0, mutable, domains, rng, guided)
+        slots = pa.shape[1]
+        a_keys = list(map(tuple, pa.reshape(-1, pa.shape[2]).tolist()))
+        b_keys = list(map(tuple, pb.reshape(-1, pa.shape[2]).tolist()))
+        run.label(a_keys + b_keys)
+        live = live.tolist()
+        for i in range(seeds):
+            if run.full() or evals >= cap:
+                break
+            evals += 1
+            first = i * slots
+            ka = a_keys[first]
+            if guided and drawn_ok[i]:
+                kd = tuple(d0[i].tolist())
+                la, ld = run.labels_of(ka, kd)
+                if la != ld:
+                    consider(run, a0[i], d0[i], ka, kd, *extra)
+                    continue
+            consider(run, pa[i, 0], pb[i, 0], ka, b_keys[first], *extra)
+            for k in range(1, slots):
+                if run.full() or evals >= cap:
+                    break
+                if live[i][k]:
+                    evals += 1
+                    consider(run, pa[i, k], pb[i, k], a_keys[first + k], b_keys[first + k], *extra)
+
+    # invalidity repair over relaxed-only pairs
+    for pair in run.invalid:
+        la, lb = run.labels_of(pair.a, pair.b)
+        found, failed = _find_true_partners([(pair.a, la), (pair.b, lb)], run.index, partner_rng)
+        if found:
+            run.ledger.repaired_pairs += 1
+            for new_pair in found:
+                if run.record_true_pair(new_pair):
+                    run.bank(new_pair.b)
+        run.ledger.failed_samples += failed
+
     if not run.full():
         log.warning("budget %d unreachable, produced %d samples", run.budget, len(run.samples))
     unique = list(run.samples.keys())
-    idi = [k for k in unique if k in run.idi_marks]
     return TestSuite(
         unique_samples=unique,
-        idi_samples=idi,
+        idi_samples=[k for k in unique if k in run.idi_marks],
         true_pairs=run.true_pairs,
         ledger=run.ledger,
-        mode=mode,
+        mode=MODE_CAUSALFT if guided else MODE_BASE,
         budget_reached=run.full(),
     )
 
@@ -419,44 +516,18 @@ def run_base_generator(
     budget: int,
     seed: int,
     domains: Sequence[ValueDomain] | None = None,
+    *,
+    index: _TestIndex | None = None,
 ) -> TestSuite:
     """Baseline flow under the true criterion: seed pairs differ only on the
     sensitive feature, every non-sensitive feature may be perturbed, unique
     samples are collected until the budget or attempt exhaustion.
 
     `domains` should be the frozen full-dataset domains; the test split's own
-    observed domains are used when omitted.
+    observed domains are used when omitted. `index`, the test split's
+    `_TestIndex` for this model and sensitive feature, is built when omitted.
     """
-    domains, rng, run = _start(model, test_data, sensitive, budget, seed, domains)
-    mutable = [j for j in range(test_data.width) if j != sensitive]
-    s_dom = domains[sensitive]
-
-    evals = 0
-    cap = max(50 * budget, 2000)
-    n = test_data.n_rows
-    while not run.full() and evals < cap:
-        a = test_data.rows[rng.integers(n)].copy()
-        evals += 1
-        if s_dom.size == 1:
-            run.bank(tuple(a.tolist()))
-            continue
-        b = a.copy()
-        b[sensitive] = s_dom.sample_excluding(rng, int(a[sensitive]))
-        # one label query for the seed pair and all its candidates; drawing
-        # candidates that go unused is harmless, as rng is not read after the loop
-        seed_pair, *candidates = pairs = _keyed(
-            [(a, b), *_iter_candidates(spec, model, a, b, mutable, domains, rng)]
-        )
-        run.label(k for pair in pairs for k in pair[2:])
-        _consider_base(run, *seed_pair, sensitive)
-        if run.full():
-            break
-        for pair in candidates:
-            evals += 1
-            _consider_base(run, *pair, sensitive)
-            if run.full() or evals >= cap:
-                break
-    return _finish(run, MODE_BASE)
+    return _generate(spec, model, test_data, sensitive, None, budget, seed, domains, index)
 
 
 def run_causalft(
@@ -468,6 +539,8 @@ def run_causalft(
     budget: int,
     seed: int,
     domains: Sequence[ValueDomain] | None = None,
+    *,
+    index: _TestIndex | None = None,
 ) -> TestSuite:
     """Causally guided flow: pairs may differ on {sensitive, causal}, those two
     features stay fixed during perturbation, perturbed samples are re-paired
@@ -476,73 +549,10 @@ def run_causalft(
     Passing causal=None (no directly relevant feature found) degrades to the
     base flow with the fallback flag set.
     """
-    if causal is None:
-        suite = run_base_generator(
-            spec, model, test_data, sensitive, budget, seed, domains=domains
-        )
-        suite.mode = MODE_CAUSALFT
-        suite.used_fallback = True
-        return suite
     if causal == sensitive:
         raise IndexCollision("causal feature must differ from the sensitive feature")
-    domains, rng, run = _start(model, test_data, sensitive, budget, seed, domains)
-    mutable = [j for j in range(test_data.width) if j not in (sensitive, causal)]
-    s_dom, c_dom = domains[sensitive], domains[causal]
-
-    evals = 0
-    cap = max(50 * budget, 2000)
-    n = test_data.n_rows
-    while not run.full() and evals < cap:
-        i = int(rng.integers(n))
-        j = int(rng.integers(n)) if n > 1 else i
-        a = test_data.rows[i].copy()
-        drawn_b = test_data.rows[j].copy()
-        evals += 1
-
-        ka, kd = tuple(a.tolist()), tuple(drawn_b.tolist())
-        la, lb = run.labels_of(ka, kd)
-        if (
-            i != j
-            and _relaxed_structure(a, drawn_b, sensitive, causal)
-            and la != lb
-        ):
-            # the drawn pair already meets the relaxed criterion: keep it as-is
-            _consider_causalft(run, a, drawn_b, ka, kd, sensitive, causal, rng)
-            continue
-
-        if s_dom.size == 1 and c_dom.size == 1:
-            run.bank(ka)
-            continue
-        b = a.copy()
-        b[sensitive] = s_dom.sample_excluding(rng, int(a[sensitive]))
-        b[causal] = c_dom.sample(rng)
-        if b[sensitive] == a[sensitive] and b[causal] == a[causal]:
-            b[causal] = c_dom.sample_excluding(rng, int(a[causal]))
-        kb = tuple(b.tolist())
-        # one perturbation of the rebuilt pair per drawn seed: the guided loop
-        # rotates seeds faster than a base generator's own multi-step search.
-        # It is labelled with b in one query: drawing it first is safe, as the
-        # seed pair's check reads no rng (a is a test row), unless the pair
-        # fills the run, since the repair pass reads rng next
-        run.bank(ka)
-        run.bank(kb)
-        candidates = [] if run.full() else _keyed(
-            islice(_iter_candidates(spec, model, a, b, mutable, domains, rng), 1)
-        )
-        run.label([kb, *(k for pair in candidates for k in pair[2:])])
-        _consider_causalft(run, a, b, ka, kb, sensitive, causal, rng)
-        for pair in candidates:
-            evals += 1
-            _consider_causalft(run, *pair, sensitive, causal, rng)
-
-    # invalidity repair over relaxed-only pairs
-    for pair in run.invalid:
-        la, lb = run.labels_of(pair.a, pair.b)
-        found, failed = _find_true_partners([(pair.a, la), (pair.b, lb)], run.index, rng)
-        if found:
-            run.ledger.repaired_pairs += 1
-            for new_pair in found:
-                if run.record_true_pair(new_pair):
-                    run.bank(new_pair.b)
-        run.ledger.failed_samples += failed
-    return _finish(run, MODE_CAUSALFT)
+    suite = _generate(spec, model, test_data, sensitive, causal, budget, seed, domains, index)
+    if causal is None:
+        suite.mode = MODE_CAUSALFT
+        suite.used_fallback = True
+    return suite

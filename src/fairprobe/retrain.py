@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, from_arrays
-from .generators import GeneratorSpec, TestSuite, run_causalft
+from .generators import GeneratorSpec, TestSuite, _TestIndex, run_causalft
 from .metrics import FairnessReport, GroupRule, build_report
 from .models import ModelConfig, ModelUnderTest, train
 from .stats import _midranks
@@ -102,15 +102,15 @@ def retrain_and_retest(
     augmented = augment_training_data(train_data, corrections)
     retrained = train(augmented, replace(model_config, seed=model_config.seed + 1))
 
-    before, after = [], []
-    for r in range(runs):
-        run_seed = seed + r
-        suite_old = run_causalft(
-            gen_spec, old_model, test_data, sensitive, causal, budget, run_seed, domains=domains
+    def retest(model: ModelUnderTest) -> list[FairnessReport]:
+        index = _TestIndex(test_data, model, sensitive)  # shared by the model's runs
+        suites = (
+            run_causalft(
+                gen_spec, model, test_data, sensitive, causal, budget, seed + r,
+                domains=domains, index=index,
+            )
+            for r in range(runs)
         )
-        suite_new = run_causalft(
-            gen_spec, retrained, test_data, sensitive, causal, budget, run_seed, domains=domains
-        )
-        before.append(build_report(suite_old, old_model, test_data, rule))
-        after.append(build_report(suite_new, retrained, test_data, rule))
-    return before, after, retrained
+        return [build_report(suite, model, test_data, rule) for suite in suites]
+
+    return retest(old_model), retest(retrained), retrained

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import fairprobe.cli as cli
+import fairprobe.generators as generators
 from fairprobe.cli import (
     ExperimentConfig,
     derive_seed,
@@ -292,6 +293,10 @@ class TestConfigErrors:
             ({"group_rules": {"age": {"kind": "range", "range": ["a", "b"]}}}, "numbers"),
             ({"group_rules": {"gender": {"kind": "binary-value", "alpha_values": "ab"}}},
              "numbers"),
+            ({"m": 0}, "'m'"),
+            ({"bootstrap_repeats": 0}, "'bootstrap_repeats'"),
+            ({"train_fraction": 1.5}, "'train_fraction'"),
+            ({"retrain_budget": -5, "run_retrain": True}, "'retrain_budget'"),
         ],
         ids=[
             "unknown_key",
@@ -314,6 +319,10 @@ class TestConfigErrors:
             "models_of_wrong_type",
             "range_of_strings",
             "alpha_values_a_string",
+            "zero_m",
+            "zero_bootstrap_repeats",
+            "train_fraction_above_one",
+            "negative_retrain_budget",
         ],
     )
     def test_exit_code_one(self, demo_files, tmp_path, capsys, overrides, named):
@@ -406,6 +415,33 @@ class TestSharedPipeline:
         report = json.loads((out / "report.json").read_text())
         assert len(report["cases"]) == 8
         assert (out / "retrain_gender.json").exists() and (out / "retrain_race.json").exists()
+
+    def test_one_test_index_per_model_and_sensitive_feature(
+        self, demo_files, tmp_path, monkeypatch
+    ):
+        builds = []
+        build = generators._TestIndex.__init__
+
+        def counted(index, *args):
+            builds.append(1)
+            build(index, *args)
+
+        monkeypatch.setattr(generators._TestIndex, "__init__", counted)
+        path = small_config(
+            demo_files, tmp_path,
+            models=[
+                {"name": "logistic", "kind": "logistic", "epochs": 10},
+                {"name": "mlp", "kind": "mlp", "hidden_sizes": [4], "epochs": 2},
+            ],
+            generators=[{"name": "random", "kind": "random"},
+                        {"name": "sg_lite", "kind": "sg_lite"}],
+            runs=2, budget=60, run_retrain=True,
+        )
+        assert main(["test", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        # 2 run indices x 2 models share their index across generators and
+        # modes; the retrain reuses run index 0's for its corrections and
+        # builds one per model for its 2 re-test runs
+        assert len(builds) == 2 * 2 + 2
 
     def test_analyze_matches_test_run_zero(self, demo_files, tmp_path):
         path = small_config(

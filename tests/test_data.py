@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairprobe.data import (
     Dataset,
@@ -161,7 +163,37 @@ class TestDomains:
             assert all(dom.contains(int(v)) for v in np.unique(demo_dataset.rows[:, j]))
 
 
+@st.composite
+def domains_and_values(draw):
+    """(domain, values, rng seed): a range or set domain, and values that may
+    lie outside it."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-5, 5))
+        domain = ValueDomain.range_of(lo, lo + draw(st.integers(0, 6)))
+    else:
+        domain = ValueDomain.set_of(draw(st.sets(st.integers(-8, 8), min_size=1, max_size=6)))
+    values = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=20))
+    return domain, np.array(values), draw(st.integers(0, 2**32 - 1))
+
+
 class TestValueDomain:
+    @given(domains_and_values())
+    def test_block_forms_match_their_definitions(self, case):
+        domain, old, seed = case
+        rng = np.random.default_rng(seed)
+        new = domain.sample_excluding(rng, old)
+        assert new.shape == old.shape
+        assert all(domain.contains(v) for v in new.tolist())
+        if domain.size > 1:
+            assert (new != old).all()
+        assert all(domain.contains(v) for v in domain.sample(rng, len(old)).tolist())
+        nearest = [min(domain.as_tuple(), key=lambda v: (abs(v - o), v)) for o in old.tolist()]
+        assert domain.clamp(old).tolist() == nearest
+        # a scalar gives a Python int by the same code path
+        scalar = domain.sample_excluding(rng, int(old[0]))
+        assert type(scalar) is int and domain.contains(scalar)
+        assert domain.clamp(int(old[0])) == nearest[0]
+
     def test_invalid_domains_rejected(self):
         with pytest.raises(ValueError):
             ValueDomain.range_of(5, 4)

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -20,7 +21,7 @@ from fairprobe.generators import (
     _TestIndex,
     _differs_only_at,
     _find_true_partners,
-    _iter_candidates,
+    _propose,
     _relaxed_structure,
 )
 from fairprobe.models import ModelConfig, ModelUnderTest, input_gradient
@@ -155,10 +156,21 @@ class TestPairStructure:
         assert _relaxed_structure(a, b, s, c) == masked_relaxed_structure(a, b, s, c)
 
 
+def proposed_candidates(spec, model, a0, b0, mutable, domains, rng, guided, copies):
+    """The live candidates `_propose` makes for each of `copies` copies of the
+    seed pair (a0, b0) proposed together as one block."""
+    block_a, block_b = np.tile(a0, (copies, 1)), np.tile(b0, (copies, 1))
+    pa, pb, live = _propose(spec, model, block_a, block_b, mutable, domains, rng, guided)
+    assert np.array_equal(pa[:, 0], block_a) and np.array_equal(pb[:, 0], block_b)
+    assert live[:, 0].all()
+    for a, b, alive in zip(pa, pb, live):
+        yield [(x, y) for x, y, ok in zip(a[1:], b[1:], alive[1:]) if ok]
+
+
 class TestPerturbValues:
-    """Perturbation invariants of the candidate streams, for every kind: fixed
-    indices never change, values stay in their domain, and both members of a
-    pair receive identical changes."""
+    """Perturbation invariants of the proposed candidates, for every kind in
+    both modes: fixed indices never change, values stay in their domain, and
+    both members of a pair receive identical changes."""
 
     DOMAINS = (
         ValueDomain.range_of(0, 9),
@@ -168,20 +180,24 @@ class TestPerturbValues:
     )
     MODEL = fixed_logistic([0.6, -0.4, 0.3, 0.5], 0.0)
     KINDS = ("random", "sg_lite", "adf_lite")
+    MODES = [(kind, guided) for kind in KINDS for guided in (False, True)]
     A0 = np.array([4, 5, 3, 2])
     B0 = np.array([7, 5, 3, 2])  # the seed pair differs at index 0 only
 
-    def streams(self, kind, mutable, domains=DOMAINS):
-        """The candidate list of the seed pair under each of 20 stream seeds."""
+    def streams(self, kind, guided, mutable, domains=DOMAINS):
+        """The candidate lists of 20 copies of the seed pair, under each of 5
+        stream seeds."""
         spec = GeneratorSpec(kind=kind, local_steps=5)
-        for seed in range(20):
+        for seed in range(5):
             rng = np.random.default_rng(seed)
-            yield list(_iter_candidates(spec, self.MODEL, self.A0, self.B0, mutable, domains, rng))
+            yield from proposed_candidates(
+                spec, self.MODEL, self.A0, self.B0, mutable, domains, rng, guided, copies=20
+            )
 
     def test_immutable_features_never_touched(self):
-        for kind in self.KINDS:
+        for kind, guided in self.MODES:
             count = 0
-            for stream in self.streams(kind, [1, 3]):
+            for stream in self.streams(kind, guided, [1, 3]):
                 for pa, pb in stream:
                     count += 1
                     assert pa[0] == 4 and pb[0] == 7
@@ -189,23 +205,24 @@ class TestPerturbValues:
             assert count > 0, kind
 
     def test_values_stay_in_domain(self):
-        for kind in self.KINDS:
-            for stream in self.streams(kind, [1, 2, 3]):
+        for kind, guided in self.MODES:
+            for stream in self.streams(kind, guided, [1, 2, 3]):
                 for pa, pb in stream:
                     for vec in (pa, pb):
                         assert all(self.DOMAINS[j].contains(int(vec[j])) for j in range(4))
 
     def test_mutated_value_differs_unless_singleton(self):
         # both members change identically and the singleton index never moves;
-        # each random step and each sg_lite sweep value moves exactly one feature
-        for kind in self.KINDS:
-            for stream in self.streams(kind, [1, 2, 3]):
+        # each random step, each sg_lite sweep value and each guided step
+        # moves exactly one feature
+        for kind, guided in self.MODES:
+            for stream in self.streams(kind, guided, [1, 2, 3]):
                 prev = self.A0
                 for pa, pb in stream:
                     assert np.array_equal(pa - self.A0, pb - self.B0)
                     moved = set(np.nonzero(pa != prev)[0].tolist())
                     assert moved <= {1, 3}
-                    if kind != "adf_lite":
+                    if guided or kind != "adf_lite":
                         assert len(moved) == 1
                     if kind == "random":
                         prev = pa
@@ -214,14 +231,14 @@ class TestPerturbValues:
         domains = (ValueDomain.range_of(0, 9),) + tuple(
             ValueDomain.set_of([v]) for v in (5, 3, 2)
         )
-        for kind in self.KINDS:
-            for stream in self.streams(kind, [1, 2, 3], domains):
+        for kind, guided in self.MODES:
+            for stream in self.streams(kind, guided, [1, 2, 3], domains):
                 for pa, pb in stream:
                     assert np.array_equal(pa, self.A0) and np.array_equal(pb, self.B0)
 
 
 class TestCandidateStreams:
-    """The perturbation streams never touch the fixed features and apply the
+    """The proposed candidates never touch the fixed features and apply the
     same change to both members."""
 
     @pytest.mark.parametrize("kind", ["random", "sg_lite", "adf_lite"])
@@ -233,16 +250,18 @@ class TestCandidateStreams:
         b0[0] = 3
         b0[2] = 0
         mutable = [1, 3, 4]
-        rng = np.random.default_rng(5)
         spec = GeneratorSpec(kind=kind, local_steps=5)
-        count = 0
-        for pa, pb in _iter_candidates(spec, model, a0, b0, mutable, domains, rng):
-            count += 1
-            assert pa[0] == 1 and pb[0] == 3   # pair construction values kept
-            assert pa[2] == 3 and pb[2] == 0
-            assert np.array_equal(pa[mutable], pb[mutable])
-            assert all(domains[j].contains(int(v)) for j, v in enumerate(pa))
-        assert count > 0
+        for guided in (False, True):
+            rng = np.random.default_rng(5)
+            count = 0
+            for stream in proposed_candidates(spec, model, a0, b0, mutable, domains, rng, guided, 8):
+                for pa, pb in stream:
+                    count += 1
+                    assert pa[0] == 1 and pb[0] == 3   # pair construction values kept
+                    assert pa[2] == 3 and pb[2] == 0
+                    assert np.array_equal(pa[mutable], pb[mutable])
+                    assert all(domains[j].contains(int(v)) for j, v in enumerate(pa))
+            assert count > 0
 
 
 class TestBaseGenerator:
@@ -378,6 +397,29 @@ class TestCausalFT:
         assert suite.used_fallback and suite.mode == "causalft"
         assert suite.unique_samples == base.unique_samples
 
+    def test_guided_sg_lite_steps_on_many_features(self, demo_split, demo_lr, demo_dataset):
+        """Guided steps pick their feature uniformly, so generated samples one
+        feature away from a test row are spread over the non-fixed features;
+        a step that always took the first feature would leave one share."""
+        _, test_data = demo_split
+        s = demo_dataset.schema.index("gender")
+        c = demo_dataset.schema.index("relationship")
+        suite = run_causalft(
+            GeneratorSpec(kind="sg_lite"), demo_lr, test_data, s, c, 600, 3,
+            domains=demo_dataset.domains,
+        )
+        test_keys = set(map(tuple, test_data.rows.tolist()))
+        shares, near = Counter(), 0
+        for sample in suite.unique_samples:
+            if sample in test_keys:
+                continue
+            diff = test_data.rows != np.array(sample)
+            features = set(np.nonzero(diff[diff.sum(axis=1) == 1])[1].tolist())
+            near += bool(features)
+            shares.update(features - {s, c})
+        assert near >= 100
+        assert sum(count >= 0.05 * near for count in shares.values()) >= 3
+
     def test_sensitive_equals_causal_rejected(self, demo_split, demo_lr, demo_dataset):
         _, test_data = demo_split
         with pytest.raises(IndexCollision):
@@ -388,16 +430,16 @@ class TestCausalFT:
 
 
 class TestModelQueries:
-    """The engine labels each drawn seed's pairs in one model query and takes
-    the gradients of both members of a pair in one call."""
+    """The engine labels each block of proposals in one model query and takes
+    the gradients of every pair of a block in one call."""
 
     @pytest.mark.parametrize("guided", [False, True], ids=["base", "guided"])
-    def test_one_label_query_per_seed_and_paired_gradients(
+    def test_one_label_query_per_block_and_paired_gradients(
         self, guided, demo_split, demo_lr, demo_dataset, monkeypatch
     ):
-        label_queries, gradient_inputs, perturbed_seeds = [], [], []
+        label_queries, gradient_inputs, blocks = [], [], []
         predict_batch = ModelUnderTest.predict_batch
-        iter_candidates = generators._iter_candidates
+        propose = generators._propose
 
         def recording_predict(model, X):
             label_queries.append(len(X))
@@ -407,13 +449,13 @@ class TestModelQueries:
             gradient_inputs.append(np.array(X))
             return input_gradient(model, X)
 
-        def counting_candidates(*args):
-            perturbed_seeds.append(1)  # once per seed that is perturbed
-            return iter_candidates(*args)
+        def counting_propose(*args):
+            blocks.append(len(args[2]))  # once per block, with its seed count
+            return propose(*args)
 
         monkeypatch.setattr(ModelUnderTest, "predict_batch", recording_predict)
         monkeypatch.setattr(generators, "input_gradient", recording_gradient)
-        monkeypatch.setattr(generators, "_iter_candidates", counting_candidates)
+        monkeypatch.setattr(generators, "_propose", counting_propose)
         _, test_data = demo_split
         s = demo_dataset.schema.index("gender")
         c = demo_dataset.schema.index("relationship")
@@ -426,17 +468,20 @@ class TestModelQueries:
             suite = run_base_generator(
                 spec, demo_lr, test_data, s, 600, 5, domains=demo_dataset.domains
             )
-        assert suite.budget_reached and perturbed_seeds and gradient_inputs
+        assert suite.budget_reached and blocks and gradient_inputs
         index_build, *engine = label_queries
         assert index_build == test_data.n_rows
-        # a guided seed that fills the run is labelled but never perturbed
-        assert len(engine) <= len(perturbed_seeds) + guided
-        for X in gradient_inputs:
-            assert X.shape == (2, test_data.width)
-            if guided:
-                assert _relaxed_structure(X[0], X[1], s, c)
-            else:
-                assert _differs_only_at(X[0], X[1], s)
+        assert 1 <= len(engine) <= len(blocks)
+        # one gradient call per step of a block, over all of its pairs
+        per_block = 1 if guided else 1 + spec.local_steps
+        assert len(gradient_inputs) == len(blocks) * per_block
+        for X, seeds in zip(gradient_inputs, np.repeat(blocks, per_block)):
+            assert X.shape == (2 * seeds, test_data.width)
+            for a, b in zip(X[0::2], X[1::2]):
+                if guided:
+                    assert _relaxed_structure(a, b, s, c)
+                else:
+                    assert _differs_only_at(a, b, s)
 
 
 class TestRepairInvalid:
