@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -46,7 +47,7 @@ _RANDOM_STEPS = 8
 
 # pairs proposed per block: a block holds as many seeds as their pairs fit,
 # which bounds its memory and the unused proposals at the end of a suite
-_BLOCK_PAIRS = 2048
+_BLOCK_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,29 @@ def is_relaxed_idi(pair: Pair, model: ModelUnderTest, sensitive: int, causal: in
 
 class _TestIndex:
     """Test rows keyed for membership checks and true-definition partner
-    search, with every row's predicted label from one batch query."""
+    search, with every row's predicted label from one batch query. Each
+    table is built when a suite first reads it."""
 
     def __init__(self, test_data: Dataset, model: ModelUnderTest, sensitive: int):
         self.rows = test_data.rows
         self.sensitive = sensitive
-        self.labels, _ = model.predict_batch(self.rows.astype(float))
-        self.label_of: dict[tuple, int] = {}
-        self.buckets: dict[tuple, list[int]] = {}
-        for i, (key, label) in enumerate(
-            zip(map(tuple, self.rows.tolist()), self.labels.tolist())
-        ):
-            self.label_of.setdefault(key, label)
-            proj = key[:sensitive] + key[sensitive + 1 :]
-            self.buckets.setdefault(proj, []).append(i)
+        self.model = model
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self.model.predict_batch(self.rows.astype(float))[0]
+
+    @cached_property
+    def label_of(self) -> dict[tuple, int]:
+        return dict(zip(map(tuple, self.rows.tolist()), self.labels.tolist()))
+
+    @cached_property
+    def buckets(self) -> dict[tuple, list[int]]:
+        """Row numbers by the row's values outside the sensitive index."""
+        buckets: dict[tuple, list[int]] = {}
+        for i, key in enumerate(map(tuple, np.delete(self.rows, self.sensitive, 1).tolist())):
+            buckets.setdefault(key, []).append(i)
+        return buckets
 
     def contains(self, key: tuple) -> bool:
         return key in self.label_of
