@@ -195,8 +195,7 @@ class _RunState:
     The split and, for the causal selector, the graph are made on
     construction. Each model and each sensitive feature's selection is
     computed on first use and then reused: by every case of the run, and at
-    run index 0 by `analyze` and `retrain`. So is the test split's index for
-    each model and sensitive feature, which every suite of theirs shares.
+    run index 0 by `analyze` and `retrain`.
     """
 
     def __init__(self, config: ExperimentConfig, dataset: Dataset, run_idx: int):
@@ -219,7 +218,6 @@ class _RunState:
             )
         self._models: dict[int, tuple[ModelConfig, ModelUnderTest]] = {}
         self._selections: dict[str, tuple] = {}
-        self._indexes: dict[tuple[int, int], _TestIndex] = {}
 
     def model(self, index: int) -> tuple[ModelConfig, ModelUnderTest]:
         """The index-th configured model, trained on this run's split."""
@@ -228,13 +226,6 @@ class _RunState:
             cfg = replace(entry, seed=self.seed)
             self._models[index] = (cfg, train(self.train, cfg))
         return self._models[index]
-
-    def index(self, model_index: int, sensitive: int) -> _TestIndex:
-        """The test split's `_TestIndex` for a configured model and a sensitive feature index."""
-        key = (model_index, sensitive)
-        if key not in self._indexes:
-            self._indexes[key] = _TestIndex(self.test, self.model(model_index)[1], sensitive)
-        return self._indexes[key]
 
     def selection(self, sensitive: str) -> tuple[str | None, dict, list[CausalEffect]]:
         """`_select_feature` for the sensitive feature on this run's graph."""
@@ -358,13 +349,14 @@ def _run_pipeline(config: ExperimentConfig) -> tuple[dict, dict, _RunState]:
             for m_idx, model_doc in enumerate(config.models):
                 with _timed(timings, "train_s"):
                     _, model = run.model(m_idx)
+                # shared by this model's suites of the sensitive feature, then released
+                index = _TestIndex(run.test, model, s_idx)
                 for gen_name, spec in generators:
                     case_key = f"{dataset_name}/{sensitive}/{_case_name(model_doc, 'model')}/{gen_name}"
                     case = cases.setdefault(case_key, {"base": [], "causalft": [], "analysis": []})
                     case["analysis"].append(detail)
                     seed = derive_seed(config.seed, case_key, run_idx)
                     with _timed(timings["generation_s"], case_key):
-                        index = run.index(m_idx, s_idx)
                         suite = run_base_generator(
                             spec, model, run.test, s_idx, config.budget,
                             derive_seed(seed, "base"), domains=dataset.domains, index=index,
@@ -551,7 +543,7 @@ def _retrain_case(run: _RunState, sensitive: str) -> dict:
     seed = derive_seed(run.seed, "retrain", sensitive)
     suite = run_causalft(
         spec, model, run.test, s_idx, c_idx, config.budget,
-        derive_seed(seed, "corrections"), domains=dataset.domains, index=run.index(0, s_idx),
+        derive_seed(seed, "corrections"), domains=dataset.domains,
     )
     corrections = correct_pairs(suite, model, run.test)
     before, after, retrained = retrain_and_retest(

@@ -320,7 +320,7 @@ def _resample(a, b, feats, domains, rng) -> np.ndarray:
     """Set feature feats[i] of both members of pair i to a new value drawn
     uniformly; returns which pairs moved (their domain is no singleton)."""
     moved = np.zeros(len(feats), dtype=bool)
-    for j in np.unique(feats).tolist():
+    for j in sorted(set(feats.tolist())):
         rows = feats == j
         if domains[j].size > 1:
             a[rows, j] = b[rows, j] = domains[j].sample_excluding(rng, a[rows, j])
@@ -333,7 +333,7 @@ def _shift(a, b, feats, signs, step: int, domains) -> np.ndarray:
     direction signs[i], or the other way where the domain edge stops it;
     returns which pairs moved."""
     old = a[np.arange(len(feats)), feats]
-    for j in np.unique(feats).tolist():
+    for j in sorted(set(feats.tolist())):
         rows = feats == j
         delta = signs[rows] * step
         new = domains[j].clamp(old[rows] + delta)
@@ -557,7 +557,8 @@ def run_causalft(
     with the test data, and relaxed-only pairs are repaired at the end.
 
     Passing causal=None (no directly relevant feature found) degrades to the
-    base flow with the fallback flag set.
+    base flow with the fallback flag set. `domains` and `index` are as for
+    `run_base_generator`.
     """
     if causal == sensitive:
         raise IndexCollision("causal feature must differ from the sensitive feature")

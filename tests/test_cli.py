@@ -439,9 +439,9 @@ class TestSharedPipeline:
         )
         assert main(["test", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         # 2 run indices x 2 models share their index across generators and
-        # modes; the retrain reuses run index 0's for its corrections and
-        # builds one per model for its 2 re-test runs
-        assert len(builds) == 2 * 2 + 2
+        # modes; the retrain builds one for its corrections suite and one per
+        # model for its 2 re-test runs
+        assert len(builds) == 2 * 2 + 1 + 2
 
     def test_analyze_matches_test_run_zero(self, demo_files, tmp_path):
         path = small_config(
