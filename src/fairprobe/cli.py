@@ -105,16 +105,25 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"config key {name!r} must be {rule}, got {getattr(self, name)!r}")
         if self.selector not in (SELECTOR_CAUSAL, SELECTOR_CORRELATION, SELECTOR_NONE):
             raise ConfigInvalid(f"unknown selector {self.selector!r}")
-        if not self.sensitive:
-            raise ConfigInvalid("at least one sensitive feature is required")
-        if not self.models or not self.generators:
-            raise ConfigInvalid("need at least one model and one generator")
         for doc in self.models:
             _config_entry(ModelConfig, doc, "model")
         for doc in self.generators:
             _config_entry(GeneratorSpec, doc, "generator")
         for feature, doc in self.group_rules.items():
             _config_entry(GroupRule, doc, f"{feature} group rule", feature=feature)
+        # a name is part of the case key: a repeated one would pool two cases' runs
+        for key, names in (
+            ("sensitive", self.sensitive),
+            ("models", [_case_name(doc, "model") for doc in self.models]),
+            ("generators", [_case_name(doc, "generator") for doc in self.generators]),
+        ):
+            if not names:
+                raise ConfigInvalid(f"config key {key!r} needs at least one entry")
+            if not all(isinstance(name, str) for name in names):
+                raise ConfigInvalid(f"config key {key!r} needs string names, got {names!r}")
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise ConfigInvalid(f"config key {key!r} repeats the name {repeated[0]!r}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -9,12 +9,16 @@ budget or the evaluation cap is reached.
 In base mode a seed pair differs only on the sensitive feature and every
 non-sensitive feature may be perturbed. In causally guided mode the pair may
 differ on the sensitive feature and its most causally tied non-sensitive
-partner; both stay fixed, each pair takes one step on a uniformly chosen
-feature, perturbed samples are re-paired with test rows when possible, and
-pairs that satisfy only the relaxed criterion are repaired against the test
-data at the end. Every step changes the same feature(s) of both members to
-the same new value, so the within-pair difference never leaks outside the
-fixed set.
+partner; both stay fixed and each pair takes one step on a uniformly chosen
+feature. Every step changes the same feature(s) of both members to the same
+new value, so the within-pair difference never leaks outside the fixed set.
+
+Both modes count pairs by one rule (`_consider`): a pair counts when the
+model labels its members apart, they differ only inside the fixed set, and
+one of them is a test row; base mode is guided mode with no causal feature.
+A counted pair that differs only at the sensitive feature is a true pair.
+Guided mode alone keeps the relaxed-only pairs, which are repaired against
+the test data at the end, and re-pairs perturbed samples with test rows.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset, ValueDomain
-from .errors import ConfigInvalid, EmptyData, IndexCollision, WidthMismatch
+from .errors import ConfigInvalid, IndexCollision, WidthMismatch
 from .models import ModelUnderTest, input_gradient
 
 log = logging.getLogger(__name__)
@@ -113,15 +117,16 @@ class TestSuite:
         )
 
 
-def _differs_only_at(a: np.ndarray, b: np.ndarray, idx: int) -> bool:
-    """The members differ at idx and nowhere else."""
-    return (a != b).nonzero()[0].tolist() == [idx]
-
-
-def _relaxed_structure(a: np.ndarray, b: np.ndarray, s: int, c: int) -> bool:
-    """The members differ somewhere, and only inside {s, c}."""
+def _relaxed_structure(a: np.ndarray, b: np.ndarray, s: int, c: int | None) -> bool:
+    """The members differ somewhere, and only inside {s, c}; with c None or
+    equal to s this is the true structure."""
     diff = (a != b).nonzero()[0].tolist()
     return bool(diff) and all(i == s or i == c for i in diff)
+
+
+def _differs_only_at(a: np.ndarray, b: np.ndarray, idx: int) -> bool:
+    """The members differ at idx and nowhere else."""
+    return _relaxed_structure(a, b, idx, idx)
 
 
 def _check_pair_width(pair: Pair, model: ModelUnderTest) -> None:
@@ -214,11 +219,9 @@ class _Run:
         self.index = index
         self.budget = budget
         self.samples: dict[tuple, None] = {}
-        self.idi_marks: set[tuple] = set()
-        self.true_pairs: list[Pair] = []
-        self.pair_keys: set[tuple] = set()
-        self.invalid: list[Pair] = []
-        self.invalid_keys: set[tuple] = set()
+        # true and relaxed-only pairs by Pair.key(), in discovery order
+        self.true_pairs: dict[tuple, Pair] = {}
+        self.invalid: dict[tuple, Pair] = {}
         self.ledger = PairLedger()
         # test rows are never sent to the model again
         self._label_cache: dict[tuple, int] = dict(index.label_of)
@@ -240,73 +243,51 @@ class _Run:
         return self._label_cache[ka], self._label_cache[kb]
 
     def record_true_pair(self, pair: Pair) -> bool:
-        key = pair.key()
-        if key in self.pair_keys:
-            return False
-        self.pair_keys.add(key)
-        self.true_pairs.append(pair)
-        self.idi_marks.add(pair.a)
-        self.idi_marks.add(pair.b)
-        return True
+        """Keep a new true pair and bank its members, which adds a test-row
+        partner found for it; False if the pair was already counted."""
+        self.bank(pair.a)
+        self.bank(pair.b)
+        return self.true_pairs.setdefault(pair.key(), pair) is pair
 
     def full(self) -> bool:
         return len(self.samples) >= self.budget
 
 
-def _consider_base(
-    run: _Run, a: np.ndarray, b: np.ndarray, ka: tuple, kb: tuple, sensitive: int
-) -> None:
-    run.bank(ka)
-    run.bank(kb)
-    if ka == kb:
-        return
-    la, lb = run.labels_of(ka, kb)
-    if la == lb or not _differs_only_at(a, b, sensitive):
-        return
-    if run.index.contains(ka) or run.index.contains(kb):
-        if run.record_true_pair(Pair(a=ka, b=kb)):
-            run.ledger.pairs_without_relaxation += 1
-
-
-def _consider_causalft(
+def _consider(
     run: _Run,
     a: np.ndarray,
     b: np.ndarray,
     ka: tuple,
     kb: tuple,
     sensitive: int,
-    causal: int,
+    causal: int | None,
     rng: np.random.Generator,
 ) -> None:
+    """Bank both members and apply the pair rule of the module docstring. A
+    true pair credits `pairs_without_relaxation` in base mode (causal=None)
+    and `pairs_with_relaxation` in guided mode."""
     run.bank(ka)
     run.bank(kb)
     if ka == kb:
         return
     la, lb = run.labels_of(ka, kb)
-    a_in = run.index.contains(ka)
-    b_in = run.index.contains(kb)
-    relaxed_valid = la != lb and _relaxed_structure(a, b, sensitive, causal)
-
-    if relaxed_valid and (a_in or b_in):
+    ledger = run.ledger
+    if run.index.contains(ka) or run.index.contains(kb):
+        if la == lb or not _relaxed_structure(a, b, sensitive, causal):
+            return
         pair = Pair(a=ka, b=kb)
-        key = pair.key()
-        if _differs_only_at(a, b, sensitive):
-            if run.record_true_pair(pair):
-                run.ledger.pairs_with_relaxation += 1
-        elif key not in run.invalid_keys and key not in run.pair_keys:
-            run.invalid_keys.add(key)
-            run.invalid.append(pair)
-            run.ledger.pairs_with_relaxation += 1
-            run.ledger.invalid_pairs += 1
-        return
-
-    if not a_in and not b_in:
+        if causal is None:
+            ledger.pairs_without_relaxation += run.record_true_pair(pair)
+        elif _differs_only_at(a, b, sensitive):
+            ledger.pairs_with_relaxation += run.record_true_pair(pair)
+        elif run.invalid.setdefault(pair.key(), pair) is pair:
+            ledger.pairs_with_relaxation += 1
+            ledger.invalid_pairs += 1
+    elif causal is not None:
         # only a perturbed sample and a test row may form a counted pair
         found, _failed = _find_true_partners([(ka, la), (kb, lb)], run.index, rng)
         for pair in found:
-            if run.record_true_pair(pair):
-                run.bank(pair.b)
-                run.ledger.pairs_with_relaxation += 1
+            ledger.pairs_with_relaxation += run.record_true_pair(pair)
 
 
 def _pair_gradients(model: ModelUnderTest, a: np.ndarray, b: np.ndarray):
@@ -432,10 +413,8 @@ def _generate(
     is counted per drawn seed and per candidate consumed, up to `cap`."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    test_data.require_rows("test data")
+    test_data.require_rows("test data")  # a split with rows has its own domains
     if domains is None:
-        if test_data.domains is None:
-            raise EmptyData("test data has no rows")
         domains = test_data.domains
     run = _Run(model, index or _TestIndex(test_data, model, sensitive), budget)
     # partner search has its own stream, so proposals never depend on consumption
@@ -447,9 +426,6 @@ def _generate(
     mutable = [j for j in range(test_data.width) if j not in fixed and pairable]
     seeds = max(1, _BLOCK_PAIRS // (1 + _candidate_count(spec, mutable, domains, guided)))
     n = test_data.n_rows
-
-    consider = _consider_causalft if guided else _consider_base
-    extra = (sensitive, causal, partner_rng) if guided else (sensitive,)
 
     evals, cap = 0, max(50 * budget, 2000)
     while not run.full() and evals < cap:
@@ -477,41 +453,40 @@ def _generate(
         for i in range(seeds):
             if run.full() or evals >= cap:
                 break
-            evals += 1
             first = i * slots
-            ka = a_keys[first]
             if guided and drawn_ok[i]:
-                kd = tuple(d0[i].tolist())
+                ka, kd = a_keys[first], tuple(d0[i].tolist())
                 la, ld = run.labels_of(ka, kd)
                 if la != ld:
-                    consider(run, a0[i], d0[i], ka, kd, *extra)
+                    evals += 1
+                    _consider(run, a0[i], d0[i], ka, kd, sensitive, causal, partner_rng)
                     continue
-            consider(run, pa[i, 0], pb[i, 0], ka, b_keys[first], *extra)
-            for k in range(1, slots):
+            for k in range(slots):  # slot 0, the seed pair, is always live
                 if run.full() or evals >= cap:
                     break
                 if live[i][k]:
                     evals += 1
-                    consider(run, pa[i, k], pb[i, k], a_keys[first + k], b_keys[first + k], *extra)
+                    ka, kb = a_keys[first + k], b_keys[first + k]
+                    _consider(run, pa[i, k], pb[i, k], ka, kb, sensitive, causal, partner_rng)
 
     # invalidity repair over relaxed-only pairs
-    for pair in run.invalid:
+    for pair in run.invalid.values():
         la, lb = run.labels_of(pair.a, pair.b)
         found, failed = _find_true_partners([(pair.a, la), (pair.b, lb)], run.index, partner_rng)
         if found:
             run.ledger.repaired_pairs += 1
-            for new_pair in found:
-                if run.record_true_pair(new_pair):
-                    run.bank(new_pair.b)
+        for new_pair in found:
+            run.record_true_pair(new_pair)
         run.ledger.failed_samples += failed
 
     if not run.full():
         log.warning("budget %d unreachable, produced %d samples", run.budget, len(run.samples))
     unique = list(run.samples.keys())
+    idi_marks = {member for pair in run.true_pairs.values() for member in (pair.a, pair.b)}
     return TestSuite(
         unique_samples=unique,
-        idi_samples=[k for k in unique if k in run.idi_marks],
-        true_pairs=run.true_pairs,
+        idi_samples=[k for k in unique if k in idi_marks],
+        true_pairs=list(run.true_pairs.values()),
         ledger=run.ledger,
         mode=MODE_CAUSALFT if guided else MODE_BASE,
         budget_reached=run.full(),

@@ -20,26 +20,23 @@ def correct_pairs(
     """Corrected training rows from the suite's discriminatory pairs.
 
     When exactly one member is a test row, the synthetic member is emitted
-    with the test member's predicted label. When both members are test rows,
-    the member the model predicts positive anchors the correction and both
-    are emitted with label 1. Duplicates are dropped.
+    with the test member's predicted label. Both members of a pair of two
+    test rows are emitted with label 1, without consulting the model. The
+    test rows are labelled in one model query; duplicates are dropped.
     """
-    test_keys = set(map(tuple, test_data.rows.tolist()))
+    labels, _ = model.predict_batch(test_data.rows.astype(float))
+    label_of = dict(zip(map(tuple, test_data.rows.tolist()), labels.tolist()))
     out: dict[tuple[tuple[int, ...], int], None] = {}
     for pair in suite.true_pairs:
-        a_in = pair.a in test_keys
-        b_in = pair.b in test_keys
-        if not (a_in or b_in):
-            continue
-        members = np.asarray([pair.a, pair.b], dtype=float)
-        labels, _ = model.predict_batch(members)
+        a_in = pair.a in label_of
+        b_in = pair.b in label_of
         if a_in and b_in:
             out.setdefault((pair.a, 1), None)
             out.setdefault((pair.b, 1), None)
         elif a_in:
-            out.setdefault((pair.b, int(labels[0])), None)
-        else:
-            out.setdefault((pair.a, int(labels[1])), None)
+            out.setdefault((pair.b, label_of[pair.a]), None)
+        elif b_in:
+            out.setdefault((pair.a, label_of[pair.b]), None)
     return list(out.keys())
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +298,16 @@ class TestConfigErrors:
             ({"bootstrap_repeats": 0}, "'bootstrap_repeats'"),
             ({"train_fraction": 1.5}, "'train_fraction'"),
             ({"retrain_budget": -5, "run_retrain": True}, "'retrain_budget'"),
+            ({"sensitive": ["gender", "gender"]}, "'sensitive' repeats the name 'gender'"),
+            ({"generators": [{"kind": "random"}, {"kind": "random"}]},
+             "'generators' repeats the name 'random'"),
+            ({"models": [{"name": "m", "kind": "logistic"},
+                         {"name": "m", "kind": "mlp", "hidden_sizes": [4]}]},
+             "'models' repeats the name 'm'"),
+            ({"sensitive": [["gender"]]}, "'sensitive' needs string names"),
+            ({"generators": [{"name": ["g"], "kind": "random"}]},
+             "'generators' needs string names"),
+            ({"models": []}, "'models' needs at least one entry"),
         ],
         ids=[
             "unknown_key",
@@ -323,6 +334,12 @@ class TestConfigErrors:
             "zero_bootstrap_repeats",
             "train_fraction_above_one",
             "negative_retrain_budget",
+            "repeated_sensitive_feature",
+            "two_unnamed_generators_of_one_kind",
+            "two_models_with_one_name",
+            "sensitive_feature_not_a_string",
+            "generator_name_not_a_string",
+            "no_models",
         ],
     )
     def test_exit_code_one(self, demo_files, tmp_path, capsys, overrides, named):
@@ -477,3 +494,43 @@ class TestStrictJson:
     def test_nan_refused_not_written(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report({"cases": {}, "value": float("nan")}, tmp_path)
+
+
+class TestTraceContract:
+    """perfbench/traced.py wraps the layer entry points by module attribute
+    and reads their `spec`, `model`, `sensitive` and `config` arguments; a
+    moved target or a renamed parameter shows here, not only as the traced
+    benchmark's failure."""
+
+    def test_traced_run_reaches_every_target_and_counts_true_pairs(
+        self, demo_files, tmp_path, monkeypatch
+    ):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+        import traced
+
+        path = small_config(
+            demo_files, tmp_path, budget=100, run_retrain=True,
+            generators=[{"name": "adf_lite", "kind": "adf_lite"}],
+        )
+        tracer, suites = spans.Tracer(), []
+        undo = traced.install(tracer, suites)
+        try:
+            code = main(["test", "--config", str(path), "--out", str(tmp_path / "out")])
+        finally:
+            spans.restore(undo)
+        assert code == 0
+        assert tracer.missing == []
+        doc = tracer.to_dict()
+        called = {s["name"] for s in doc["spans"]} | {leaf["name"] for leaf in doc["leaves"]}
+        # the causal selector never ranks by correlation
+        assert called == {
+            "data.load", "data.split", "models.train", "causal.discover", "causal.direct",
+            "causal.effect", "causal.select", "generators.base", "generators.guided",
+            "metrics.report", "stats.compare", "retrain.case", "retrain.correct",
+            "retrain.retest", "retrain.quality", "cli.emit", "models.predict",
+            "models.gradient",
+        }
+        assert suites
+        checked, failed = traced.check_pairs(suites)
+        assert checked > 0 and failed == 0

@@ -429,6 +429,37 @@ class TestCausalFT:
             )
 
 
+class TestLedgerIdentities:
+    """Which counter each mode credits. Base mode counts every true pair as
+    found without relaxation and nothing else. Guided mode counts direct
+    finds, partner finds and invalid pairs as relaxed finds, and each
+    repaired invalid pair adds at most two true pairs."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["random", "sg_lite", "adf_lite"])
+    def test_counters_match_the_kept_pairs(self, kind, seed, demo_split, demo_lr, demo_dataset):
+        _, test_data = demo_split
+        s = demo_dataset.schema.index("gender")
+        c = demo_dataset.schema.index("relationship")
+        spec, domains = GeneratorSpec(kind=kind), demo_dataset.domains
+        base = run_base_generator(spec, demo_lr, test_data, s, 600, seed, domains=domains)
+        assert base.true_pairs
+        assert asdict(base.ledger) == {
+            "pairs_without_relaxation": len(base.true_pairs),
+            "pairs_with_relaxation": 0,
+            "invalid_pairs": 0,
+            "repaired_pairs": 0,
+            "failed_samples": 0,
+        }
+        guided = run_causalft(spec, demo_lr, test_data, s, c, 600, seed, domains=domains)
+        ledger = guided.ledger
+        assert guided.true_pairs and ledger.invalid_pairs
+        assert ledger.pairs_without_relaxation == 0
+        assert ledger.repaired_pairs <= ledger.invalid_pairs
+        from_repair = len(guided.true_pairs) - (ledger.pairs_with_relaxation - ledger.invalid_pairs)
+        assert 0 <= from_repair <= 2 * ledger.repaired_pairs
+
+
 class TestModelQueries:
     """The engine labels each block of proposals in one model query and takes
     the gradients of every pair of a block in one call."""

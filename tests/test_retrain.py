@@ -95,6 +95,21 @@ class TestCorrectPairs:
                 demo_dataset.domains[j].contains(int(v)) for j, v in enumerate(sample)
             )
 
+    def test_one_model_query_per_suite(self, monkeypatch):
+        ds = make_retrain_dataset()
+        pairs = [Pair(a=(0, 3), b=(1, 3)), Pair(a=(0, 5), b=(1, 5)), Pair(a=(1, 7), b=(0, 7))]
+        calls = []
+        predict_batch = ModelUnderTest.predict_batch
+
+        def counting(model, X):
+            calls.append(len(X))
+            return predict_batch(model, X)
+
+        monkeypatch.setattr(ModelUnderTest, "predict_batch", counting)
+        out = correct_pairs(suite_with(pairs), FLIP_MODEL, ds)
+        assert out == [((1, 3), 0), ((0, 5), 1), ((1, 7), 0)]
+        assert calls == [ds.n_rows]
+
     def test_deduplicated(self):
         ds = make_retrain_dataset()
         pair = Pair(a=(0, 3), b=(1, 3))
