@@ -93,8 +93,8 @@ class ExperimentConfig:
             if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
                 raise ConfigInvalid(f"config key {f.name!r} must be {f.type}, got {value!r}")
         for name, ok, rule in (
-            ("budget", self.budget >= 0, ">= 0"),
-            ("retrain_budget", self.retrain_budget is None or self.retrain_budget >= 0, ">= 0"),
+            ("budget", self.budget >= 1, ">= 1"),
+            ("retrain_budget", self.retrain_budget is None or self.retrain_budget >= 1, ">= 1"),
             ("runs", self.runs >= 1, ">= 1"),
             ("m", self.m >= 1, ">= 1"),
             ("bootstrap_repeats", self.bootstrap_repeats >= 1, ">= 1"),
@@ -550,9 +550,10 @@ def _retrain_case(run: _RunState, sensitive: str) -> dict:
     c_idx = dataset.schema.index(guide) if guide is not None else None
 
     seed = derive_seed(run.seed, "retrain", sensitive)
+    index = _TestIndex(run.test, model, s_idx)  # shared by the corrections and the re-test
     suite = run_causalft(
         spec, model, run.test, s_idx, c_idx, config.budget,
-        derive_seed(seed, "corrections"), domains=dataset.domains,
+        derive_seed(seed, "corrections"), domains=dataset.domains, index=index,
     )
     corrections = correct_pairs(suite, model, run.test)
     before, after, retrained = retrain_and_retest(
@@ -569,6 +570,7 @@ def _retrain_case(run: _RunState, sensitive: str) -> dict:
         rule,
         old_model=model,
         domains=dataset.domains,
+        index=index,
     )
     return {
         "sensitive": sensitive,

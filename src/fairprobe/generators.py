@@ -3,8 +3,9 @@
 One engine serves three strategies (random walks, single-feature sweeps,
 gradient-guided steps) in two modes, a block of seeds at a time: it proposes
 every pair of the block with array operations, labels the block's new
-samples in one model query, and consumes the pairs in draw order until the
-budget or the evaluation cap is reached.
+samples in one model query, settles each pair's structure and which members
+can have a test-row partner at all with array operations, and consumes the
+pairs in draw order until the budget or the evaluation cap is reached.
 
 In base mode a seed pair differs only on the sensitive feature and every
 non-sensitive feature may be perturbed. In causally guided mode the pair may
@@ -129,6 +130,14 @@ def _differs_only_at(a: np.ndarray, b: np.ndarray, idx: int) -> bool:
     return _relaxed_structure(a, b, idx, idx)
 
 
+def _block_structure(pa: np.ndarray, pb: np.ndarray, s: int, c: int | None) -> np.ndarray:
+    """The checks above per pair of a block (members on the last axis): 2 where
+    the pair differs only at s, 1 where only inside {s, c} and at c, else 0."""
+    diff = pa != pb
+    relaxed = diff.any(-1) & ~np.delete(diff, [s] if c is None else [s, c], -1).any(-1)
+    return relaxed * (2 - (diff[..., c] if c is not None else False))
+
+
 def _check_pair_width(pair: Pair, model: ModelUnderTest) -> None:
     if len(pair.a) != model.input_width:
         raise WidthMismatch(
@@ -185,8 +194,26 @@ class _TestIndex:
             buckets.setdefault(key, []).append(i)
         return buckets
 
-    def contains(self, key: tuple) -> bool:
-        return key in self.label_of
+    def rest_bytes(self, rows: np.ndarray) -> list[bytes]:
+        """Each row (any leading shape, flattened) as bytes with its sensitive
+        value zeroed: equal exactly when the rows agree outside that index."""
+        rest = np.array(rows, dtype=np.int64, order="C")
+        rest[..., self.sensitive] = 0
+        return rest.view(f"V{rest.itemsize * rest.shape[-1]}").ravel().tolist()
+
+    @cached_property
+    def rest_values(self) -> dict[bytes, int | None]:
+        """The test rows' sensitive value per rest, None where they hold several."""
+        values: dict[bytes, int | None] = {}
+        for rest, v in zip(self.rest_bytes(self.rows), self.rows[:, self.sensitive].tolist()):
+            values[rest] = v if values.get(rest, v) == v else None
+        return values
+
+    def partnered(self, rows: np.ndarray) -> list[bool]:
+        """Whether each row (flattened) can have a true partner at all: a test
+        row of its bucket in `buckets` differs from it at the sensitive index."""
+        values, own = self.rest_values, rows[..., self.sensitive].ravel().tolist()
+        return [values.get(rest, v) != v for rest, v in zip(self.rest_bytes(rows), own)]
 
 
 def _find_true_partners(
@@ -254,39 +281,32 @@ class _Run:
 
 
 def _consider(
-    run: _Run,
-    a: np.ndarray,
-    b: np.ndarray,
-    ka: tuple,
-    kb: tuple,
-    sensitive: int,
-    causal: int | None,
-    rng: np.random.Generator,
+    run: _Run, ka: tuple, kb: tuple, structure: int, partnered, guided: bool, rng
 ) -> None:
-    """Bank both members and apply the pair rule of the module docstring. A
-    true pair credits `pairs_without_relaxation` in base mode (causal=None)
-    and `pairs_with_relaxation` in guided mode."""
+    """Bank both members and apply the pair rule of the module docstring, given
+    the pair's `_block_structure` code and its members' `partnered` flags. A
+    true pair credits `pairs_without_relaxation` in base mode, else `pairs_with_relaxation`."""
     run.bank(ka)
     run.bank(kb)
     if ka == kb:
         return
     la, lb = run.labels_of(ka, kb)
     ledger = run.ledger
-    if run.index.contains(ka) or run.index.contains(kb):
-        if la == lb or not _relaxed_structure(a, b, sensitive, causal):
+    if ka in run.index.label_of or kb in run.index.label_of:  # a test row
+        if la == lb or not structure:
             return
         pair = Pair(a=ka, b=kb)
-        if causal is None:
+        if not guided:
             ledger.pairs_without_relaxation += run.record_true_pair(pair)
-        elif _differs_only_at(a, b, sensitive):
+        elif structure == 2:
             ledger.pairs_with_relaxation += run.record_true_pair(pair)
         elif run.invalid.setdefault(pair.key(), pair) is pair:
             ledger.pairs_with_relaxation += 1
             ledger.invalid_pairs += 1
-    elif causal is not None:
+    elif guided and any(partnered):
         # only a perturbed sample and a test row may form a counted pair
-        found, _failed = _find_true_partners([(ka, la), (kb, lb)], run.index, rng)
-        for pair in found:
+        members = [m for m, ok in zip([(ka, la), (kb, lb)], partnered) if ok]
+        for pair in _find_true_partners(members, run.index, rng)[0]:
             ledger.pairs_with_relaxation += run.record_true_pair(pair)
 
 
@@ -437,9 +457,7 @@ def _generate(
             # a second test row, kept as the partner if the pair is already relaxed-valid
             other = rng.integers(n, size=seeds) if n > 1 else drawn
             d0 = test_data.rows[other]
-            diff = a0 != d0
-            outside = np.delete(diff, fixed, axis=1).any(axis=1)
-            drawn_ok = ((drawn != other) & diff.any(axis=1) & ~outside).tolist()
+            d0_structure = (_block_structure(a0, d0, sensitive, causal) * (drawn != other)).tolist()
             c_dom = domains[causal]
             b0[:, causal] = c_dom.sample(rng, seeds)
             same = (b0[:, fixed] == a0[:, fixed]).all(axis=1)
@@ -450,34 +468,43 @@ def _generate(
         b_keys = list(map(tuple, pb.reshape(-1, pa.shape[2]).tolist()))
         run.label(a_keys + b_keys)
         live = live.tolist()
+        structure = _block_structure(pa, pb, sensitive, causal).ravel().tolist()
+        partnered = [()] * len(a_keys)  # base mode never searches a partner
+        if guided:
+            partnered = list(zip(run.index.partnered(pa), run.index.partnered(pb)))
         for i in range(seeds):
             if run.full() or evals >= cap:
                 break
             first = i * slots
-            if guided and drawn_ok[i]:
+            if guided and d0_structure[i]:
                 ka, kd = a_keys[first], tuple(d0[i].tolist())
                 la, ld = run.labels_of(ka, kd)
                 if la != ld:
                     evals += 1
-                    _consider(run, a0[i], d0[i], ka, kd, sensitive, causal, partner_rng)
+                    _consider(run, ka, kd, d0_structure[i], None, guided, partner_rng)
                     continue
             for k in range(slots):  # slot 0, the seed pair, is always live
                 if run.full() or evals >= cap:
                     break
                 if live[i][k]:
                     evals += 1
-                    ka, kb = a_keys[first + k], b_keys[first + k]
-                    _consider(run, pa[i, k], pb[i, k], ka, kb, sensitive, causal, partner_rng)
+                    j = first + k
+                    ka, kb = a_keys[j], b_keys[j]
+                    _consider(run, ka, kb, structure[j], partnered[j], guided, partner_rng)
 
     # invalidity repair over relaxed-only pairs
-    for pair in run.invalid.values():
+    invalid = list(run.invalid.values())
+    both = np.array([(p.a, p.b) for p in invalid], dtype=np.int64).reshape(-1, 2, test_data.width)
+    flags = run.index.partnered(both) if invalid else []
+    for pair, ok in zip(invalid, zip(flags[0::2], flags[1::2])):
         la, lb = run.labels_of(pair.a, pair.b)
-        found, failed = _find_true_partners([(pair.a, la), (pair.b, lb)], run.index, partner_rng)
+        members = [m for m, keep in zip([(pair.a, la), (pair.b, lb)], ok) if keep]
+        found, failed = _find_true_partners(members, run.index, partner_rng)
         if found:
             run.ledger.repaired_pairs += 1
         for new_pair in found:
             run.record_true_pair(new_pair)
-        run.ledger.failed_samples += failed
+        run.ledger.failed_samples += failed + 2 - len(members)  # filtered: no partner
 
     if not run.full():
         log.warning("budget %d unreachable, produced %d samples", run.budget, len(run.samples))

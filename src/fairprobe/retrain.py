@@ -90,17 +90,18 @@ def retrain_and_retest(
     rule: GroupRule,
     old_model: ModelUnderTest,
     domains=None,
+    *, index: _TestIndex | None = None,
 ) -> tuple[list[FairnessReport], list[FairnessReport], ModelUnderTest]:
     """Retrain from scratch on train + corrections, then re-test `old_model`
     (trained under `model_config`) and the new model side by side over `runs`
-    seeded generation runs.
+    seeded generation runs. `index`, `old_model`'s `_TestIndex`, is built when omitted.
 
     Returns (reports before, reports after, the retrained model)."""
     augmented = augment_training_data(train_data, corrections)
     retrained = train(augmented, replace(model_config, seed=model_config.seed + 1))
 
-    def retest(model: ModelUnderTest) -> list[FairnessReport]:
-        index = _TestIndex(test_data, model, sensitive)  # shared by the model's runs
+    def retest(model: ModelUnderTest, index: _TestIndex | None = None) -> list[FairnessReport]:
+        index = index or _TestIndex(test_data, model, sensitive)  # shared by the model's runs
         suites = (
             run_causalft(
                 gen_spec, model, test_data, sensitive, causal, budget, seed + r,
@@ -110,4 +111,4 @@ def retrain_and_retest(
         )
         return [build_report(suite, model, test_data, rule) for suite in suites]
 
-    return retest(old_model), retest(retrained), retrained
+    return retest(old_model, index), retest(retrained), retrained

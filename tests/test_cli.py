@@ -298,6 +298,9 @@ class TestConfigErrors:
             ({"bootstrap_repeats": 0}, "'bootstrap_repeats'"),
             ({"train_fraction": 1.5}, "'train_fraction'"),
             ({"retrain_budget": -5, "run_retrain": True}, "'retrain_budget'"),
+            ({"budget": 0}, "config key 'budget' must be >= 1, got 0"),
+            ({"retrain_budget": 0, "run_retrain": True},
+             "config key 'retrain_budget' must be >= 1, got 0"),
             ({"sensitive": ["gender", "gender"]}, "'sensitive' repeats the name 'gender'"),
             ({"generators": [{"kind": "random"}, {"kind": "random"}]},
              "'generators' repeats the name 'random'"),
@@ -334,6 +337,8 @@ class TestConfigErrors:
             "zero_bootstrap_repeats",
             "train_fraction_above_one",
             "negative_retrain_budget",
+            "zero_budget",
+            "zero_retrain_budget",
             "repeated_sensitive_feature",
             "two_unnamed_generators_of_one_kind",
             "two_models_with_one_name",
@@ -456,9 +461,10 @@ class TestSharedPipeline:
         )
         assert main(["test", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         # 2 run indices x 2 models share their index across generators and
-        # modes; the retrain builds one for its corrections suite and one per
-        # model for its 2 re-test runs
-        assert len(builds) == 2 * 2 + 1 + 2
+        # modes; the retrain builds one for the first model, shared by its
+        # corrections suite and its 2 re-test runs, and one for the retrained
+        # model's 2 re-test runs
+        assert len(builds) == 2 * 2 + 1 + 1
 
     def test_analyze_matches_test_run_zero(self, demo_files, tmp_path):
         path = small_config(

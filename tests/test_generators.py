@@ -1,5 +1,8 @@
+import hashlib
+import json
 from collections import Counter
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from fairprobe.generators import (
     run_base_generator,
     run_causalft,
     _TestIndex,
+    _block_structure,
     _differs_only_at,
     _find_true_partners,
     _propose,
@@ -458,6 +462,97 @@ class TestLedgerIdentities:
         assert ledger.repaired_pairs <= ledger.invalid_pairs
         from_repair = len(guided.true_pairs) - (ledger.pairs_with_relaxation - ledger.invalid_pairs)
         assert 0 <= from_repair <= 2 * ledger.repaired_pairs
+
+
+class TestEngineBytes:
+    """Each kind's suite in both modes at a fixed seed, pinned by a digest of
+    its samples, true pairs and ledger: a change meant to keep report bytes
+    must keep these."""
+
+    DIGESTS = {
+        ("random", "base"): "28931b19372226c567d59f83fcf8ffc3b9eaaf327d2f79a8ccbea0188893c574",
+        ("random", "guided"): "ef700f8934d749e9a18172ccdc3e794135ecb12bb643ca9fa7d3df8c71356e6f",
+        ("sg_lite", "base"): "a7e41aa8bfaa2de91bf98a154e2d682fda91a1f4d16dbf84d81e1019d3ad63ad",
+        ("sg_lite", "guided"): "ef700f8934d749e9a18172ccdc3e794135ecb12bb643ca9fa7d3df8c71356e6f",
+        ("adf_lite", "base"): "7f44b80bafbddb2edc941e09337973488a967990ef4c7727dc7356d9ff01c504",
+        ("adf_lite", "guided"): "e98126cc9048ea966abd644675b47a85495b5b0439642a81977d3493c68e9b31",
+    }
+
+    @pytest.mark.parametrize("mode", ["base", "guided"])
+    @pytest.mark.parametrize("kind", ["random", "sg_lite", "adf_lite"])
+    def test_suite_digest(self, kind, mode, demo_split, demo_lr, demo_dataset):
+        _, test_data = demo_split
+        s = demo_dataset.schema.index("gender")
+        spec, domains = GeneratorSpec(kind=kind), demo_dataset.domains
+        if mode == "guided":
+            c = demo_dataset.schema.index("relationship")
+            suite = run_causalft(spec, demo_lr, test_data, s, c, 600, 5, domains=domains)
+        else:
+            suite = run_base_generator(spec, demo_lr, test_data, s, 600, 5, domains=domains)
+        assert suite.budget_reached and suite.true_pairs
+        doc = [
+            suite.unique_samples,
+            [[pair.a, pair.b] for pair in suite.true_pairs],
+            asdict(suite.ledger),
+        ]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGESTS[kind, mode]
+
+
+@st.composite
+def blocks(draw):
+    """(test rows, their labels, pa, pb, member labels, s, c): a block of
+    pairs whose a-members are test rows with up to two values changed and
+    whose b-members are their a-members with a random subset changed."""
+    width = draw(st.integers(2, 6))
+    values = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=1, max_size=6))
+    pa = []
+    for _ in range(draw(st.integers(1, 8))):
+        member = list(rows[draw(st.integers(0, len(rows) - 1))])
+        for j in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+            member[j] = draw(values)
+        pa.append(member)
+    pb = [list(member) for member in pa]
+    for member in pb:
+        for j in draw(st.sets(st.integers(0, width - 1))):
+            member[j] = draw(values)
+    labels = st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows))
+    member_labels = st.lists(st.integers(0, 1), min_size=2 * len(pa), max_size=2 * len(pa))
+    s = draw(st.integers(0, width - 1))
+    c = draw(st.none() | st.integers(0, width - 1).filter(lambda i: i != s))
+    return (np.array(rows), np.array(draw(labels)), np.array(pa), np.array(pb),
+            draw(member_labels), s, c)
+
+
+class TestBlockChecks:
+    """The engine settles structure and partner eligibility per block; both
+    must agree pair by pair with the per-pair checks they replace."""
+
+    @given(blocks(), st.integers(0, 2**32 - 1))
+    def test_block_flags_and_prefilter_match_the_pair_checks(self, block, seed):
+        rows, labels, pa, pb, member_labels, s, c = block
+        structure = _block_structure(pa, pb, s, c).tolist()
+        model = SimpleNamespace(predict_batch=lambda X: (labels, None))
+        index = _TestIndex(SimpleNamespace(rows=rows), model, s)
+        partnered = index.partnered(np.stack([pa, pb], axis=1))
+        old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k, (a, b) in enumerate(zip(pa, pb)):
+            assert (structure[k] > 0) == _relaxed_structure(a, b, s, c)
+            assert (structure[k] == 2) == _differs_only_at(a, b, s)
+            members = [
+                (tuple(a.tolist()), member_labels[2 * k]),
+                (tuple(b.tolist()), member_labels[2 * k + 1]),
+            ]
+            flags = partnered[2 * k : 2 * k + 2]
+            for (key, _), ok in zip(members, flags):
+                bucket = index.buckets.get(key[:s] + key[s + 1 :], [])
+                assert ok == any(rows[i, s] != key[s] for i in bucket)
+            pairs, failed = _find_true_partners(members, index, old_rng)
+            # the engine's filter: only members that pass the prefilter are searched
+            kept = [m for m, ok in zip(members, flags) if ok]
+            kept_pairs, kept_failed = _find_true_partners(kept, index, new_rng)
+            assert kept_pairs == pairs and kept_failed + len(members) - len(kept) == failed
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestModelQueries:
