@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -481,6 +482,65 @@ class TestSharedPipeline:
             assert doc["direct_features"] == entry["direct_features"]
             assert doc["selected"] == entry["selected"]
             assert {f: e["median"] for f, e in doc["effects"].items()} == entry["effects"]
+
+
+class TestPipelineBytes:
+    """The whole pipeline, pinned by the sha256 of every output `test` and
+    `analyze` write except timings.json: MLP training, causal discovery and
+    effects, every generator kind in both modes, report building and the
+    retrain. A change meant to keep report bytes must keep these; one that
+    changes them on purpose updates the pins."""
+
+    DIGESTS = {
+        "test/report.json": "bd8eea05e0ba9470bb2d43afd2b62443c7f50f5658ab29306193a5401915e6b4",
+        "test/report.csv": "f357ed44c98a6b83a236f3753132e8c423a03f871cd4a76422318f0bf267f58e",
+        "test/retrain_gender.json": "116ccdfaacd20ed7649f5bc1a0e621c360f88bed10aedd0a88e20c4fe6c3765d",
+        "test/retrain_race.json": "2b6772a3cf0e1bab31c8773ec1c8f733b7eaf731303e2c10547997afd561b8b8",
+        "test/retrain_age.json": "9e41bd3c75a2b9937d0acc3e46b9aeca9d01c386e9ba0276db8b2a2dd8d16d83",
+        "analyze/analyze.json": "247ddc80c51551b4c73a3b72c24c65e8f7cb53a555d814b57d6a9512ccb8f10f",
+        "analyze/graph_gender.csv": "1cee4eebb5331af2855569a5d9ef0f971264710071e5549c6389dcca749b9f00",
+        "analyze/graph_race.csv": "1cee4eebb5331af2855569a5d9ef0f971264710071e5549c6389dcca749b9f00",
+        "analyze/graph_age.csv": "1cee4eebb5331af2855569a5d9ef0f971264710071e5549c6389dcca749b9f00",
+    }
+
+    def test_output_digests(self, tmp_path, monkeypatch):
+        # relative paths: report.json embeds the config's dataset and schema paths
+        monkeypatch.chdir(tmp_path)
+        write_demo_csv("demo.csv", n_rows=1500, seed=7)
+        write_demo_schema("schema.json")
+        doc = {
+            "dataset": "demo.csv",
+            "schema": "schema.json",
+            "sensitive": ["gender", "race", "age"],
+            "models": [
+                {"name": "logistic", "kind": "logistic", "epochs": 25,
+                 "learning_rate": 0.05, "l2": 0.0001},
+                {"name": "mlp", "kind": "mlp", "hidden_sizes": [8], "epochs": 5,
+                 "learning_rate": 0.01},
+            ],
+            "generators": [{"kind": "random"}, {"kind": "sg_lite"}, {"kind": "adf_lite"}],
+            "selector": "causal",
+            "budget": 200,
+            "runs": 2,
+            "m": 50,
+            "bootstrap_repeats": 5,
+            "seed": 1,
+            "group_rules": {"age": {"kind": "range", "range": [25, 40]}},
+            "retrain_budget": 100,
+            "run_retrain": True,
+        }
+        Path("config.json").write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("test", "analyze"):
+            assert main([command, "--config", "config.json", "--out", command]) == 0
+        written = sorted(
+            str(path.relative_to(tmp_path)) for path in tmp_path.glob("*/*")
+            if path.name != "timings.json"
+        )
+        assert written == sorted(self.DIGESTS)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written
+        }
+        assert digests == self.DIGESTS
 
 
 class TestStrictJson:
