@@ -69,22 +69,12 @@ class CausalGraph:
     def edge_weight(self, src: str, dst: str) -> float:
         return float(self.weights[self.node_index(dst), self.node_index(src)])
 
-    def is_acyclic(self) -> bool:
-        pos = {node: p for p, node in enumerate(self.topo_order)}
-        js, is_ = np.nonzero(self.weights)
-        return all(pos[i] < pos[j] for i, j in zip(is_, js))
-
-    def edge_lines(self) -> list[str]:
-        lines = []
-        for j, i in zip(*np.nonzero(self.weights)):
-            lines.append(f"{self.nodes[i]},{self.nodes[j]},{float(self.weights[j, i])!r}")
-        return lines
-
     def write_edges(self, path: str | Path) -> None:
-        Path(path).write_text(
-            "src,dst,weight\n" + "".join(line + "\n" for line in self.edge_lines()),
-            encoding="utf-8",
-        )
+        """One `src,dst,weight` line per edge, under that header."""
+        lines = ["src,dst,weight\n"]
+        for j, i in zip(*np.nonzero(self.weights)):
+            lines.append(f"{self.nodes[i]},{self.nodes[j]},{float(self.weights[j, i])!r}\n")
+        Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .causal import (
+    DEFAULT_EDGE_THRESHOLD,
     CausalEffect,
     bootstrap_effect,
     direct_features,
@@ -41,7 +42,7 @@ from .causal import (
     select_correlation_feature,
 )
 from .data import Dataset, Schema, load_csv, read_json_object, split_train_test, subsample
-from .errors import ConfigInvalid, FairprobeError, NoDirectFeature
+from .errors import ConfigInvalid, DegenerateColumn, FairprobeError, NoDirectFeature
 from .generators import GeneratorSpec, PairLedger, _TestIndex, run_base_generator, run_causalft
 from .metrics import FairnessReport, GroupRule, build_report
 from .models import ModelConfig, ModelUnderTest, train
@@ -80,7 +81,7 @@ class ExperimentConfig:
     train_fraction: float = 0.7
     output_dir: str = "results"
     group_rules: dict = field(default_factory=dict)
-    edge_threshold: float = 0.05
+    edge_threshold: float = DEFAULT_EDGE_THRESHOLD
     retrain_budget: int | None = None
     run_retrain: bool = False
 
@@ -195,7 +196,26 @@ def _group_rule(config: ExperimentConfig, dataset: Dataset, feature: str) -> Gro
 
 
 def _load(config: ExperimentConfig) -> Dataset:
-    return load_csv(config.dataset, Schema.from_json(config.schema))
+    """The configured dataset. A group rule for a feature the schema lacks
+    raises ConfigInvalid, and one for a feature that is not sensitive is
+    unused and logged. A label with one class, or a sensitive feature with one
+    value, cannot be tested and raises DegenerateColumn."""
+    schema = Schema.from_json(config.schema)
+    for name in config.group_rules:
+        if name not in schema.feature_names:
+            raise ConfigInvalid(f"config key 'group_rules' names {name!r}, not a schema feature")
+        if name not in config.sensitive:
+            log.warning("group rule for %r unused: not a sensitive feature", name)
+    dataset = load_csv(config.dataset, schema)
+    columns = {schema.label_name: dataset.labels}
+    columns.update((name, dataset.rows[:, schema.index(name)]) for name in config.sensitive)
+    for name, column in columns.items():
+        if column.min() == column.max():
+            raise DegenerateColumn(
+                f"column {name!r} of {config.dataset} holds one value only: "
+                "the label needs two classes and a sensitive feature two values"
+            )
+    return dataset
 
 
 class _RunState:
@@ -237,49 +257,41 @@ class _RunState:
         return self._models[index]
 
     def selection(self, sensitive: str) -> tuple[str | None, dict, list[CausalEffect]]:
-        """`_select_feature` for the sensitive feature on this run's graph."""
-        if sensitive not in self._selections:
-            self._selections[sensitive] = _select_feature(self.config, self, sensitive)
+        """The guidance feature for the sensitive feature per the configured
+        selector, on this run's graph: (feature name or None, analysis detail
+        dict, causal effects)."""
+        if sensitive in self._selections:
+            return self._selections[sensitive]
+        config = self.config
+        detail: dict = {"selector": config.selector}
+        picked, effects = None, []
+        if config.selector == SELECTOR_CORRELATION:
+            picked = select_correlation_feature(self.train, sensitive)
+            detail["selected"] = picked
+        elif config.selector == SELECTOR_CAUSAL:
+            data = self.analysis_data
+            direct = direct_features(self.graph, sensitive, self.graph.label)
+            effects = [
+                bootstrap_effect(
+                    self.graph,
+                    data,
+                    sensitive,
+                    candidate,
+                    m=min(config.m, data.n_rows),
+                    repeats=config.bootstrap_repeats,
+                    seed=derive_seed(self.seed, "effect", sensitive, candidate),
+                )
+                for candidate in direct
+            ]
+            detail["direct_features"] = list(direct)
+            detail["effects"] = {e.feature: e.effect for e in effects}
+            try:
+                picked = select_causal_feature(effects, order=data.schema.feature_names)
+            except NoDirectFeature:
+                pass
+            detail["selected"] = picked
+        self._selections[sensitive] = (picked, detail, effects)
         return self._selections[sensitive]
-
-
-def _select_feature(
-    config: ExperimentConfig, run: _RunState, sensitive: str
-) -> tuple[str | None, dict, list[CausalEffect]]:
-    """Pick the guidance feature per the configured selector, on the run's
-    already-fitted graph.
-
-    Returns (feature name or None, analysis detail dict, causal effects)."""
-    detail: dict = {"selector": config.selector}
-    if config.selector == SELECTOR_NONE:
-        return None, detail, []
-    if config.selector == SELECTOR_CORRELATION:
-        picked = select_correlation_feature(run.train, sensitive)
-        detail["selected"] = picked
-        return picked, detail, []
-
-    data = run.analysis_data
-    direct = direct_features(run.graph, sensitive, run.graph.label)
-    effects = [
-        bootstrap_effect(
-            run.graph,
-            data,
-            sensitive,
-            candidate,
-            m=min(config.m, data.n_rows),
-            repeats=config.bootstrap_repeats,
-            seed=derive_seed(run.seed, "effect", sensitive, candidate),
-        )
-        for candidate in direct
-    ]
-    detail["direct_features"] = list(direct)
-    detail["effects"] = {e.feature: e.effect for e in effects}
-    try:
-        picked = select_causal_feature(effects, order=data.schema.feature_names)
-    except NoDirectFeature:
-        picked = None
-    detail["selected"] = picked
-    return picked, detail, effects
 
 
 def _suite_summary(suite, model: ModelUnderTest, test_data: Dataset, rule: GroupRule) -> dict:

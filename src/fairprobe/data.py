@@ -144,11 +144,6 @@ class ValueDomain:
             return self.hi - self.lo + 1
         return len(self.values)
 
-    def contains(self, v: int) -> bool:
-        if self.kind == "range":
-            return self.lo <= v <= self.hi
-        return v in self.values
-
     def as_tuple(self) -> tuple[int, ...]:
         if self.kind == "range":
             return tuple(range(self.lo, self.hi + 1))
@@ -202,7 +197,6 @@ class Dataset:
     labels: np.ndarray
     schema: Schema
     domains: tuple[ValueDomain, ...] | None
-    decode_maps: dict[str, dict[int, str]]
 
     @property
     def n_rows(self) -> int:
@@ -306,25 +300,15 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
         raise EmptyData(f"{path} contains no usable data rows")
 
     matrix = np.asarray(rows, dtype=np.int64)
-    decode_maps = {
-        name: {code: value for value, code in mapping.items()}
-        for name, mapping in encoders.items()
-    }
     return Dataset(
         rows=matrix,
         labels=np.asarray(labels, dtype=np.int64),
         schema=schema,
         domains=_observed_domains(matrix, schema),
-        decode_maps=decode_maps,
     )
 
 
-def from_arrays(
-    rows: np.ndarray,
-    labels: np.ndarray,
-    schema: Schema,
-    decode_maps: dict[str, dict[int, str]] | None = None,
-) -> Dataset:
+def from_arrays(rows: np.ndarray, labels: np.ndarray, schema: Schema) -> Dataset:
     """Build a Dataset directly from encoded arrays (fixtures, augmentation)."""
     matrix = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -336,18 +320,11 @@ def from_arrays(
         raise EmptyData("cannot build a dataset with zero rows")
     if not np.isin(labels, (0, 1)).all():
         raise NonBinaryLabel("labels must all be 0 or 1")
-    if decode_maps is None:
-        decode_maps = {
-            name: {int(c): str(int(c)) for c in np.unique(matrix[:, j])}
-            for j, name in enumerate(schema.feature_names)
-            if schema.declared_kinds[name] == KIND_CATEGORICAL
-        }
     return Dataset(
         rows=matrix,
         labels=labels,
         schema=schema,
         domains=_observed_domains(matrix, schema),
-        decode_maps=decode_maps,
     )
 
 
@@ -358,7 +335,6 @@ def _subset(dataset: Dataset, idx: np.ndarray) -> Dataset:
         labels=dataset.labels[idx],
         schema=dataset.schema,
         domains=_observed_domains(rows, dataset.schema) if len(idx) else None,
-        decode_maps=dataset.decode_maps,
     )
 
 
@@ -378,9 +354,8 @@ def split_train_test(
     """Disjoint, exhaustive row partition with |train| = round(fraction * n).
 
     The same seed always reproduces the identical partition. Each side gets
-    its own observed domains; the schema and decode maps are shared. A side
-    with zero rows is returned with domains=None and trips EmptyData when
-    used downstream.
+    its own observed domains and shares the schema. A side with zero rows is
+    returned with domains=None and trips EmptyData when used downstream.
     """
     if not (0.0 < train_fraction <= 1.0):
         raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")

@@ -43,9 +43,6 @@ KIND_SG_LITE = "sg_lite"
 KIND_ADF_LITE = "adf_lite"
 _KINDS = (KIND_RANDOM, KIND_SG_LITE, KIND_ADF_LITE)
 
-MODE_BASE = "base"
-MODE_CAUSALFT = "causalft"
-
 # random-walk steps the random strategy spends on one seed pair before
 # rotating to a new seed; each step changes one feature of both members
 _RANDOM_STEPS = 8
@@ -108,7 +105,6 @@ class TestSuite:
     idi_samples: list[tuple[int, ...]]
     true_pairs: list[Pair]
     ledger: PairLedger
-    mode: str
     budget_reached: bool
     used_fallback: bool = False
 
@@ -118,44 +114,32 @@ class TestSuite:
         )
 
 
-def _relaxed_structure(a: np.ndarray, b: np.ndarray, s: int, c: int | None) -> bool:
-    """The members differ somewhere, and only inside {s, c}; with c None or
-    equal to s this is the true structure."""
-    diff = (a != b).nonzero()[0].tolist()
-    return bool(diff) and all(i == s or i == c for i in diff)
-
-
-def _differs_only_at(a: np.ndarray, b: np.ndarray, idx: int) -> bool:
-    """The members differ at idx and nowhere else."""
-    return _relaxed_structure(a, b, idx, idx)
-
-
 def _block_structure(pa: np.ndarray, pb: np.ndarray, s: int, c: int | None) -> np.ndarray:
-    """The checks above per pair of a block (members on the last axis): 2 where
-    the pair differs only at s, 1 where only inside {s, c} and at c, else 0."""
+    """Per pair of a block (members on the last axis): 2 where the pair differs
+    only at s, 1 where only inside {s, c} and at c, else 0."""
     diff = pa != pb
     relaxed = diff.any(-1) & ~np.delete(diff, [s] if c is None else [s, c], -1).any(-1)
     return relaxed * (2 - (diff[..., c] if c is not None else False))
 
 
-def _check_pair_width(pair: Pair, model: ModelUnderTest) -> None:
+def _idi_structure(pair: Pair, model: ModelUnderTest, sensitive: int, causal: int | None) -> int:
+    """The pair's `_block_structure` code, or 0 when the model labels its
+    members alike; the model is queried only for a pair with a code."""
     if len(pair.a) != model.input_width:
         raise WidthMismatch(
             f"pair width {len(pair.a)} != model input width {model.input_width}"
         )
-
-
-def _labelled_apart(pair: Pair, model: ModelUnderTest) -> bool:
+    code = int(_block_structure(np.asarray(pair.a), np.asarray(pair.b), sensitive, causal))
+    if not code:
+        return 0
     labels, _ = model.predict_batch(np.array([pair.a, pair.b], dtype=float))
-    return labels[0] != labels[1]
+    return code if labels[0] != labels[1] else 0
 
 
 def is_true_idi(pair: Pair, model: ModelUnderTest, sensitive: int) -> bool:
     """True iff the members differ exactly at the sensitive index and the model
     labels them differently."""
-    _check_pair_width(pair, model)
-    a, b = np.asarray(pair.a), np.asarray(pair.b)
-    return _differs_only_at(a, b, sensitive) and _labelled_apart(pair, model)
+    return _idi_structure(pair, model, sensitive, None) == 2
 
 
 def is_relaxed_idi(pair: Pair, model: ModelUnderTest, sensitive: int, causal: int) -> bool:
@@ -163,9 +147,7 @@ def is_relaxed_idi(pair: Pair, model: ModelUnderTest, sensitive: int, causal: in
     and the model labels them differently."""
     if sensitive == causal:
         raise IndexCollision("sensitive and causal feature indices must differ")
-    _check_pair_width(pair, model)
-    a, b = np.asarray(pair.a), np.asarray(pair.b)
-    return _relaxed_structure(a, b, sensitive, causal) and _labelled_apart(pair, model)
+    return _idi_structure(pair, model, sensitive, causal) > 0
 
 
 class _TestIndex:
@@ -515,7 +497,6 @@ def _generate(
         idi_samples=[k for k in unique if k in idi_marks],
         true_pairs=list(run.true_pairs.values()),
         ledger=run.ledger,
-        mode=MODE_CAUSALFT if guided else MODE_BASE,
         budget_reached=run.full(),
     )
 
@@ -565,7 +546,5 @@ def run_causalft(
     if causal == sensitive:
         raise IndexCollision("causal feature must differ from the sensitive feature")
     suite = _generate(spec, model, test_data, sensitive, causal, budget, seed, domains, index)
-    if causal is None:
-        suite.mode = MODE_CAUSALFT
-        suite.used_fallback = True
+    suite.used_fallback = causal is None
     return suite

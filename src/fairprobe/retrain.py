@@ -52,7 +52,6 @@ def augment_training_data(
         rows=np.vstack([train_data.rows, extra_rows]),
         labels=np.concatenate([train_data.labels, extra_labels]),
         schema=train_data.schema,
-        decode_maps=train_data.decode_maps,
     )
 
 

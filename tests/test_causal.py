@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import SEM_TRUE_EDGES, make_effect_fixture, make_sem_dataset
+from helpers import is_acyclic
 
 from fairprobe.causal import (
     CausalEffect,
@@ -80,7 +81,7 @@ class TestDiscovery:
     def test_acyclic_and_label_sink(self, demo_split):
         train_data, _ = demo_split
         graph = discover_graph(train_data, "gender")
-        assert graph.is_acyclic()
+        assert is_acyclic(graph)
         label_idx = graph.node_index(graph.label)
         assert np.count_nonzero(graph.weights[:, label_idx]) == 0
         assert graph.topo_order[-1] == label_idx

@@ -355,6 +355,40 @@ class TestConfigErrors:
         assert main(["test", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["test", "analyze", "retrain"])
+    def test_group_rule_for_a_feature_not_in_the_schema_exits_one(
+        self, demo_files, tmp_path, capsys, command
+    ):
+        rules = {"agee": {"kind": "range", "range": [25, 40]}}
+        path = small_config(demo_files, tmp_path, sensitive=["age"], group_rules=rules)
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "'agee'" in capsys.readouterr().err
+
+    def test_group_rule_for_a_feature_not_sensitive_is_logged(self, demo_files, tmp_path, caplog):
+        rules = {"age": {"kind": "range", "range": [25, 40]}}
+        config = ExperimentConfig.from_json(small_config(demo_files, tmp_path, group_rules=rules))
+        cli._load(config)
+        assert "group rule for 'age' unused" in caplog.text
+
+    @pytest.mark.parametrize("command", ["test", "analyze", "retrain"])
+    @pytest.mark.parametrize("column", ["income", "race"])
+    def test_untestable_column_exits_one(self, tmp_path, capsys, column, command):
+        """A label with one class, or a sensitive feature with one value,
+        cannot be tested: the run exits 1 and names the column."""
+        write_demo_csv(tmp_path / "demo.csv", n_rows=600, seed=3)
+        write_demo_schema(tmp_path / "schema.json")
+        with (tmp_path / "demo.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            row[column] = "0"
+        with (tmp_path / "demo.csv").open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        path = small_config(tmp_path, tmp_path / "out", sensitive=["gender", "race"])
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"'{column}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "broken", ["missing_schema", "schema_not_json", "schema_without_label", "missing_config"]
     )

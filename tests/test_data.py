@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import domain_contains
+
 from fairprobe.data import (
     Dataset,
     Schema,
@@ -83,7 +85,6 @@ class TestLoadCsv:
         # first-occurrence codes: nurse=0, clerk=1; rome=0, oslo=1
         assert ds.rows[:, 1].tolist() == [0, 1, 0]
         assert ds.rows[:, 2].tolist() == [0, 1, 0]
-        assert ds.decode_maps["job"] == {0: "nurse", 1: "clerk"}
 
     def test_header_any_column_order(self, tmp_path):
         path = write(tmp_path, "income,city,age,job\n1,rome,30,nurse\n")
@@ -143,7 +144,7 @@ class TestDomains:
         schema = Schema(("a",), (), "y", {"a": "integer"})
         ds = from_arrays(np.full((4, 1), 3), np.array([0, 1, 0, 1]), schema)
         dom = ds.domains[ds.schema.index("a")]
-        assert dom.size == 1 and dom.contains(3)
+        assert dom.size == 1 and domain_contains(dom, 3)
 
     def test_categorical_code_set(self, tmp_path):
         lines = ["age,job,city,income"]
@@ -160,7 +161,7 @@ class TestDomains:
     def test_domains_contain_every_observed_value(self, demo_dataset):
         for j in range(demo_dataset.width):
             dom = demo_dataset.domains[j]
-            assert all(dom.contains(int(v)) for v in np.unique(demo_dataset.rows[:, j]))
+            assert all(domain_contains(dom, int(v)) for v in np.unique(demo_dataset.rows[:, j]))
 
 
 @st.composite
@@ -183,15 +184,15 @@ class TestValueDomain:
         rng = np.random.default_rng(seed)
         new = domain.sample_excluding(rng, old)
         assert new.shape == old.shape
-        assert all(domain.contains(v) for v in new.tolist())
+        assert all(domain_contains(domain, v) for v in new.tolist())
         if domain.size > 1:
             assert (new != old).all()
-        assert all(domain.contains(v) for v in domain.sample(rng, len(old)).tolist())
+        assert all(domain_contains(domain, v) for v in domain.sample(rng, len(old)).tolist())
         nearest = [min(domain.as_tuple(), key=lambda v: (abs(v - o), v)) for o in old.tolist()]
         assert domain.clamp(old).tolist() == nearest
         # a scalar gives a Python int by the same code path
         scalar = domain.sample_excluding(rng, int(old[0]))
-        assert type(scalar) is int and domain.contains(scalar)
+        assert type(scalar) is int and domain_contains(domain, scalar)
         assert domain.clamp(int(old[0])) == nearest[0]
 
     def test_invalid_domains_rejected(self):
@@ -220,7 +221,7 @@ class TestValueDomain:
     def test_samples_stay_in_domain(self):
         rng = np.random.default_rng(1)
         dom = ValueDomain.set_of([2, 5, 6])
-        assert all(dom.contains(dom.sample(rng)) for _ in range(100))
+        assert all(domain_contains(dom, dom.sample(rng)) for _ in range(100))
 
 
 class TestSplit:

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import make_hypercube_fixture
+from helpers import domain_contains
 
 from fairprobe import generators
 from fairprobe.data import Schema, ValueDomain, from_arrays
@@ -23,10 +24,8 @@ from fairprobe.generators import (
     run_causalft,
     _TestIndex,
     _block_structure,
-    _differs_only_at,
     _find_true_partners,
     _propose,
-    _relaxed_structure,
 )
 from fairprobe.models import ModelConfig, ModelUnderTest, input_gradient
 
@@ -80,6 +79,14 @@ class TestTrueIdi:
         with pytest.raises(WidthMismatch):
             is_true_idi(pair, NARROW_MODEL, sensitive=0)
 
+    def test_width_checked_before_structure(self):
+        # differs outside {0, 1} too, so it fails both structure rules
+        pair = Pair(a=(0, 1, 2), b=(1, 1, 5))
+        with pytest.raises(WidthMismatch):
+            is_true_idi(pair, NARROW_MODEL, sensitive=0)
+        with pytest.raises(WidthMismatch):
+            is_relaxed_idi(pair, NARROW_MODEL, sensitive=0, causal=1)
+
 
 class TestRelaxedIdi:
     def test_pair_differing_on_both_fixed_features(self):
@@ -125,6 +132,9 @@ def masked_differs_only_at(a, b, idx):
 
 
 def masked_relaxed_structure(a, b, s, c):
+    """With c None this is the true structure."""
+    if c is None:
+        return masked_differs_only_at(a, b, s)
     if a[s] == b[s] and a[c] == b[c]:
         return False
     mask = np.ones(len(a), dtype=bool)
@@ -146,6 +156,8 @@ def integer_pairs(draw):
 
 
 class TestPairStructure:
+    WEIGHTS = (2.0, -1.5, 1.0, 0.5, -2.0, 1.5, -0.5, 1.0)
+
     @given(integer_pairs())
     @example((np.array([1, 2, 3]), np.array([1, 2, 3]), 0, 1))  # equal
     @example((np.array([1, 2, 3]), np.array([0, 2, 3]), 0, 1))  # at s only
@@ -155,9 +167,27 @@ class TestPairStructure:
     @example((np.array([1, 2, 3]), np.array([0, 2, 0]), 0, 1))  # at s and elsewhere
     def test_difference_set_checks_match_mask_definitions(self, case):
         a, b, s, c = case
-        assert _differs_only_at(a, b, s) == masked_differs_only_at(a, b, s)
-        assert _differs_only_at(a, b, c) == masked_differs_only_at(a, b, c)
-        assert _relaxed_structure(a, b, s, c) == masked_relaxed_structure(a, b, s, c)
+        code = _block_structure(a, b, s, c)
+        assert (code == 2) == masked_differs_only_at(a, b, s)
+        assert (code > 0) == masked_relaxed_structure(a, b, s, c)
+        assert (_block_structure(a, b, c, None) == 2) == masked_differs_only_at(a, b, c)
+        assert _block_structure(a, b, s, None) in (0, 2)
+
+    @given(integer_pairs())
+    @example((np.array([1, 2, 3]), np.array([-1, 2, 3]), 0, 1))  # true, labelled apart
+    @example((np.array([1, 2, 3]), np.array([2, 2, 3]), 0, 1))  # true structure, labelled alike
+    @example((np.array([1, 2, 3]), np.array([-1, 3, 3]), 0, 1))  # relaxed, labelled apart
+    @example((np.array([1, 2, 3]), np.array([1, 2, 0]), 0, 1))  # elsewhere
+    def test_pair_checks_match_mask_definitions_and_labels(self, case):
+        a, b, s, c = case
+        assume(not np.array_equal(a, b))
+        model = fixed_logistic(self.WEIGHTS[: len(a)], 0.25)
+        pair = Pair(a=tuple(a.tolist()), b=tuple(b.tolist()))
+        labels, _ = model.predict_batch(np.array([a, b], dtype=float))
+        apart = labels[0] != labels[1]
+        assert is_true_idi(pair, model, s) == (masked_differs_only_at(a, b, s) and apart)
+        relaxed = masked_relaxed_structure(a, b, s, c) and apart
+        assert is_relaxed_idi(pair, model, s, c) == relaxed
 
 
 def proposed_candidates(spec, model, a0, b0, mutable, domains, rng, guided, copies):
@@ -213,7 +243,7 @@ class TestPerturbValues:
             for stream in self.streams(kind, guided, [1, 2, 3]):
                 for pa, pb in stream:
                     for vec in (pa, pb):
-                        assert all(self.DOMAINS[j].contains(int(vec[j])) for j in range(4))
+                        assert all(domain_contains(self.DOMAINS[j], int(vec[j])) for j in range(4))
 
     def test_mutated_value_differs_unless_singleton(self):
         # both members change identically and the singleton index never moves;
@@ -264,7 +294,7 @@ class TestCandidateStreams:
                     assert pa[0] == 1 and pb[0] == 3   # pair construction values kept
                     assert pa[2] == 3 and pb[2] == 0
                     assert np.array_equal(pa[mutable], pb[mutable])
-                    assert all(domains[j].contains(int(v)) for j, v in enumerate(pa))
+                    assert all(domain_contains(domains[j], int(v)) for j, v in enumerate(pa))
             assert count > 0
 
 
@@ -344,7 +374,7 @@ class TestCausalFT:
         suite = self.make_suite(demo_split, demo_lr, demo_dataset)
         for sample in suite.unique_samples:
             assert all(
-                demo_dataset.domains[j].contains(int(v)) for j, v in enumerate(sample)
+                domain_contains(demo_dataset.domains[j], int(v)) for j, v in enumerate(sample)
             )
 
     def test_ledger_law(self, demo_split, demo_lr, demo_dataset):
@@ -398,7 +428,7 @@ class TestCausalFT:
             GeneratorSpec(kind="random"), demo_lr, test_data, s_idx,
             300, 5, domains=demo_dataset.domains,
         )
-        assert suite.used_fallback and suite.mode == "causalft"
+        assert suite.used_fallback
         assert suite.unique_samples == base.unique_samples
 
     def test_guided_sg_lite_steps_on_many_features(self, demo_split, demo_lr, demo_dataset):
@@ -537,8 +567,8 @@ class TestBlockChecks:
         partnered = index.partnered(np.stack([pa, pb], axis=1))
         old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for k, (a, b) in enumerate(zip(pa, pb)):
-            assert (structure[k] > 0) == _relaxed_structure(a, b, s, c)
-            assert (structure[k] == 2) == _differs_only_at(a, b, s)
+            assert (structure[k] > 0) == masked_relaxed_structure(a, b, s, c)
+            assert (structure[k] == 2) == masked_differs_only_at(a, b, s)
             members = [
                 (tuple(a.tolist()), member_labels[2 * k]),
                 (tuple(b.tolist()), member_labels[2 * k + 1]),
@@ -605,9 +635,9 @@ class TestModelQueries:
             assert X.shape == (2 * seeds, test_data.width)
             for a, b in zip(X[0::2], X[1::2]):
                 if guided:
-                    assert _relaxed_structure(a, b, s, c)
+                    assert masked_relaxed_structure(a, b, s, c)
                 else:
-                    assert _differs_only_at(a, b, s)
+                    assert masked_differs_only_at(a, b, s)
 
 
 class TestRepairInvalid:

@@ -43,7 +43,6 @@ def suite_of(n_samples, n_idi):
         idi_samples=samples[:n_idi],
         true_pairs=[],
         ledger=PairLedger(),
-        mode="base",
         budget_reached=True,
     )
 
@@ -107,7 +106,6 @@ class TestIdiRatio:
             idi_samples=suite.idi_samples,
             true_pairs=[],
             ledger=PairLedger(),
-            mode="base",
             budget_reached=True,
         )
         assert idi_ratio(suite) == idi_ratio(shuffled)
@@ -224,7 +222,6 @@ class TestLabelInheritance:
             idi_samples=[(0, 4), (1, 4)],
             true_pairs=[pair],
             ledger=PairLedger(),
-            mode="causalft",
             budget_reached=True,
         )
         X, y = labeled_samples_from_suite(suite, ds)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import LR_CONFIG
+from helpers import domain_contains
 
 from fairprobe.data import Schema, from_arrays
 from fairprobe.generators import GeneratorSpec, Pair, PairLedger, TestSuite, run_causalft
@@ -39,7 +40,6 @@ def suite_with(pairs):
         idi_samples=list(dict.fromkeys(banked)),
         true_pairs=list(pairs),
         ledger=PairLedger(),
-        mode="causalft",
         budget_reached=True,
     )
 
@@ -92,7 +92,7 @@ class TestCorrectPairs:
         )
         for sample, _ in correct_pairs(suite, demo_lr, test_data):
             assert all(
-                demo_dataset.domains[j].contains(int(v)) for j, v in enumerate(sample)
+                domain_contains(demo_dataset.domains[j], int(v)) for j, v in enumerate(sample)
             )
 
     def test_one_model_query_per_suite(self, monkeypatch):
