@@ -3,9 +3,13 @@
 One engine serves three strategies (random walks, single-feature sweeps,
 gradient-guided steps) in two modes, a block of seeds at a time: it proposes
 every pair of the block with array operations, labels the block's new
-samples in one model query, settles each pair's structure and which members
-can have a test-row partner at all with array operations, and consumes the
-pairs in draw order until the budget or the evaluation cap is reached.
+samples in one model query, and walks the block as arrays keyed by each
+row's bytes. Array operations settle which pairs are considered in draw
+order and where the evaluation cap cuts them, each pair's labels, test-row
+membership and structure, and whether it counts or needs a test-row partner
+search. Only those counting and searching pairs are taken one by one; the
+members between them are banked in bulk, an ordered dedupe cut where the
+budget fills.
 
 In base mode a seed pair differs only on the sensitive feature and every
 non-sensitive feature may be perturbed. In causally guided mode the pair may
@@ -14,7 +18,7 @@ partner; both stay fixed and each pair takes one step on a uniformly chosen
 feature. Every step changes the same feature(s) of both members to the same
 new value, so the within-pair difference never leaks outside the fixed set.
 
-Both modes count pairs by one rule (`_consider`): a pair counts when the
+Both modes count pairs by one rule (`_Run.walk`): a pair counts when the
 model labels its members apart, they differ only inside the fixed set, and
 one of them is a test row; base mode is guided mode with no causal feature.
 A counted pair that differs only at the sensitive feature is a true pair.
@@ -25,15 +29,17 @@ the test data at the end, and re-pairs perturbed samples with test rows.
 from __future__ import annotations
 
 import logging
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Iterable, Sequence
+from itertools import compress, filterfalse, islice
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, ValueDomain
-from .errors import ConfigInvalid, IndexCollision, WidthMismatch
+from .errors import ConfigInvalid, IndexCollision, UnknownFeature, WidthMismatch
 from .models import ModelUnderTest, input_gradient
 
 log = logging.getLogger(__name__)
@@ -109,9 +115,7 @@ class TestSuite:
     used_fallback: bool = False
 
     def sample_matrix(self) -> np.ndarray:
-        return np.asarray(self.unique_samples, dtype=np.int64).reshape(
-            len(self.unique_samples), -1
-        )
+        return np.asarray(self.unique_samples, dtype=np.int64).reshape(len(self.unique_samples), -1)
 
 
 def _block_structure(pa: np.ndarray, pb: np.ndarray, s: int, c: int | None) -> np.ndarray:
@@ -125,10 +129,12 @@ def _block_structure(pa: np.ndarray, pb: np.ndarray, s: int, c: int | None) -> n
 def _idi_structure(pair: Pair, model: ModelUnderTest, sensitive: int, causal: int | None) -> int:
     """The pair's `_block_structure` code, or 0 when the model labels its
     members alike; the model is queried only for a pair with a code."""
-    if len(pair.a) != model.input_width:
-        raise WidthMismatch(
-            f"pair width {len(pair.a)} != model input width {model.input_width}"
-        )
+    width = model.input_width
+    if len(pair.a) != width:
+        raise WidthMismatch(f"pair width {len(pair.a)} != model input width {width}")
+    for j in (sensitive, causal):
+        if j is not None and not 0 <= j < width:
+            raise UnknownFeature(f"feature index {j} outside [0, {width})")
     code = int(_block_structure(np.asarray(pair.a), np.asarray(pair.b), sensitive, causal))
     if not code:
         return 0
@@ -150,23 +156,24 @@ def is_relaxed_idi(pair: Pair, model: ModelUnderTest, sensitive: int, causal: in
     return _idi_structure(pair, model, sensitive, causal) > 0
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each row (any leading shape, flattened) as the bytes of its int64
+    values: equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(f"V{rows.itemsize * rows.shape[-1]}").ravel().tolist()
+
+
 class _TestIndex:
-    """Test rows keyed for membership checks and true-definition partner
-    search, with every row's predicted label from one batch query. Each
-    table is built when a suite first reads it."""
+    """Test rows keyed for true-definition partner search, with every row's
+    predicted label from one batch query, which seeds each run's label cache.
+    Each table is built when a suite first reads it."""
 
     def __init__(self, test_data: Dataset, model: ModelUnderTest, sensitive: int):
-        self.rows = test_data.rows
-        self.sensitive = sensitive
-        self.model = model
+        self.rows, self.sensitive, self.model = test_data.rows, sensitive, model
 
     @cached_property
     def labels(self) -> np.ndarray:
         return self.model.predict_batch(self.rows.astype(float))[0]
-
-    @cached_property
-    def label_of(self) -> dict[tuple, int]:
-        return dict(zip(map(tuple, self.rows.tolist()), self.labels.tolist()))
 
     @cached_property
     def buckets(self) -> dict[tuple, list[int]]:
@@ -181,7 +188,7 @@ class _TestIndex:
         value zeroed: equal exactly when the rows agree outside that index."""
         rest = np.array(rows, dtype=np.int64, order="C")
         rest[..., self.sensitive] = 0
-        return rest.view(f"V{rest.itemsize * rest.shape[-1]}").ravel().tolist()
+        return _row_keys(rest)
 
     @cached_property
     def rest_values(self) -> dict[bytes, int | None]:
@@ -199,15 +206,11 @@ class _TestIndex:
 
 
 def _find_true_partners(
-    pair_members: list[tuple[tuple, int]],
-    index: _TestIndex,
-    rng: np.random.Generator,
+    pair_members: list[tuple[tuple, int]], index: _TestIndex, rng: np.random.Generator
 ) -> tuple[list[Pair], int]:
     """Pair each (sample key, label) with a random test row that differs from
     it only at the sensitive index and carries a different predicted label.
-
-    Returns the formed pairs and the count of members with no eligible partner.
-    """
+    Returns the formed pairs and the count of members with no eligible partner."""
     s, pairs, failed = index.sensitive, [], 0
     for key, label in pair_members:
         bucket = index.buckets.get(key[:s] + key[s + 1 :], ())
@@ -221,75 +224,104 @@ def _find_true_partners(
 
 
 class _Run:
-    """Mutable state of one generation run."""
+    """Mutable state of one generation run. Samples and labels are keyed by
+    each row's `_row_keys` bytes; tuples are built only for counted pairs."""
 
-    def __init__(self, model: ModelUnderTest, index: _TestIndex, budget: int):
-        self.model = model
-        self.index = index
-        self.budget = budget
-        self.samples: dict[tuple, None] = {}
+    def __init__(self, index: _TestIndex, budget: int, causal: int | None):
+        self.index, self.budget, self.causal = index, budget, causal
+        self.samples: dict[bytes, None] = {}
         # true and relaxed-only pairs by Pair.key(), in discovery order
         self.true_pairs: dict[tuple, Pair] = {}
         self.invalid: dict[tuple, Pair] = {}
         self.ledger = PairLedger()
-        # test rows are never sent to the model again
-        self._label_cache: dict[tuple, int] = dict(index.label_of)
+        # each row's label, plus 2 for a test row; test rows never reach the model again
+        self.codes = dict(zip(_row_keys(index.rows), (index.labels + 2).tolist()))
 
-    def bank(self, key: tuple) -> None:
-        if len(self.samples) < self.budget and key not in self.samples:
-            self.samples[key] = None
-
-    def label(self, keys: Iterable[tuple]) -> None:
-        """Cache the keyed samples' labels, with one model query for the uncached."""
-        cache = self._label_cache
-        missing = [k for k in dict.fromkeys(keys) if k not in cache]
+    def label(self, rows: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+        """The rows' `_row_keys` and codes, after one model query for the
+        uncached rows in first-occurrence order."""
+        keys = _row_keys(rows)
+        codes, where = self.codes, dict(zip(keys, range(len(keys))))
+        missing = list(filterfalse(codes.__contains__, where))
         if missing:
-            labels, _ = self.model.predict_batch(np.asarray(missing, dtype=float))
-            cache.update(zip(missing, labels.tolist()))
+            at = list(map(where.__getitem__, missing))
+            labels, _ = self.index.model.predict_batch(rows[at].astype(float))
+            codes.update(zip(missing, labels.tolist()))
+        return keys, np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys))
 
-    def labels_of(self, ka: tuple, kb: tuple) -> tuple[int, int]:
-        """The labels of two samples already labelled (`label`) or test rows."""
-        return self._label_cache[ka], self._label_cache[kb]
+    def bank_stream(self, keys: Sequence[bytes]) -> int | None:
+        """Bank the keys' unseen rows in order until the budget fills; the
+        position in `keys` of the row that filled it, else None."""
+        room = self.budget - len(self.samples)
+        fresh = list(islice(filterfalse(self.samples.__contains__, dict.fromkeys(keys)), room))
+        self.samples.update(dict.fromkeys(fresh))
+        return keys.index(fresh[-1]) if fresh and len(fresh) == room else None
 
-    def record_true_pair(self, pair: Pair) -> bool:
-        """Keep a new true pair and bank its members, which adds a test-row
-        partner found for it; False if the pair was already counted."""
-        self.bank(pair.a)
-        self.bank(pair.b)
+    def keep(self, pair: Pair) -> bool:
+        """Bank pair.b, the test row found as pair.a's partner; keep the pair if new."""
+        self.bank_stream([np.asarray(pair.b, dtype=np.int64).tobytes()])
         return self.true_pairs.setdefault(pair.key(), pair) is pair
 
     def full(self) -> bool:
         return len(self.samples) >= self.budget
 
-
-def _consider(
-    run: _Run, ka: tuple, kb: tuple, structure: int, partnered, guided: bool, rng
-) -> None:
-    """Bank both members and apply the pair rule of the module docstring, given
-    the pair's `_block_structure` code and its members' `partnered` flags. A
-    true pair credits `pairs_without_relaxation` in base mode, else `pairs_with_relaxation`."""
-    run.bank(ka)
-    run.bank(kb)
-    if ka == kb:
-        return
-    la, lb = run.labels_of(ka, kb)
-    ledger = run.ledger
-    if ka in run.index.label_of or kb in run.index.label_of:  # a test row
-        if la == lb or not structure:
-            return
-        pair = Pair(a=ka, b=kb)
-        if not guided:
-            ledger.pairs_without_relaxation += run.record_true_pair(pair)
-        elif structure == 2:
-            ledger.pairs_with_relaxation += run.record_true_pair(pair)
-        elif run.invalid.setdefault(pair.key(), pair) is pair:
-            ledger.pairs_with_relaxation += 1
-            ledger.invalid_pairs += 1
-    elif guided and any(partnered):
-        # only a perturbed sample and a test row may form a counted pair
-        members = [m for m, ok in zip([(ka, la), (kb, lb)], partnered) if ok]
-        for pair in _find_true_partners(members, run.index, rng)[0]:
-            ledger.pairs_with_relaxation += run.record_true_pair(pair)
+    def walk(self, pa, pb, live, d0, d0_structure, evals: int, cap: int, rng) -> int:
+        """Consume one `_propose` block in draw order under the pair rule of
+        the module docstring until the budget fills or `cap` evaluations are
+        used; return the evaluations used. Guided mode passes each seed's
+        second test row d0 with its (a0, d0) `_block_structure` code: a seed
+        whose (a0, d0) pair is labelled apart gives that pair alone, others
+        their live slots. A rule pair (a test-row member, labels apart, a
+        structure code) counts. An event pair (guided, no test-row member, a
+        member that `partnered` passes) banks the partners it finds, so only
+        the members between event pairs are banked in bulk."""
+        seeds, slots, width = pa.shape
+        n, guided = seeds * slots, self.causal is not None
+        rows = np.concatenate([pa.reshape(n, width), pb.reshape(n, width)] + ([d0] if guided else []))
+        keys, codes = self.label(rows)
+        labels, test_row = codes & 1, codes > 1
+        a = np.arange(n).reshape(seeds, slots)
+        b, structure = a + n, _block_structure(pa, pb, self.index.sensitive, self.causal)
+        take = live.copy()
+        if guided:
+            swap = (d0_structure > 0) & (labels[a[:, 0]] != labels[2 * n :])
+            take[swap, 1:] = False
+            b[swap, 0] = 2 * n + np.flatnonzero(swap)
+            structure[swap, 0] = d0_structure[swap]
+        order = np.flatnonzero(take)[: cap - evals]
+        a, b, structure = a.ravel()[order], b.ravel()[order], structure.ravel()[order]
+        tested = test_row[a] | test_row[b]
+        rules = np.flatnonzero(tested & (labels[a] != labels[b]) & (structure > 0))
+        events, ok = [], []
+        if guided:
+            searched = np.flatnonzero(~tested & (rows[a] != rows[b]).any(1))
+            both = np.stack([rows[a[searched]], rows[b[searched]]], 1)
+            flags = np.array(self.index.partnered(both), dtype=bool).reshape(-1, 2)
+            events, ok = searched[flags.any(1)].tolist(), flags[flags.any(1)].tolist()
+        rule_at = rules.tolist()
+        rule_rows = list(zip(structure[rules].tolist(), rows[a[rules]].tolist(), rows[b[rules]].tolist()))
+        stream = list(map(keys.__getitem__, np.stack([a, b], 1).ravel().tolist()))
+        start, ledger = 0, self.ledger
+        for e, ok_e in zip([*events, len(a)], [*ok, None]):
+            stop = min(e + 1, len(a))  # bank up to and including the event pair
+            filled = self.bank_stream(stream[2 * start : 2 * stop])
+            if filled is not None:
+                stop = start + filled // 2 + 1
+            for code, ra, rb in rule_rows[bisect_left(rule_at, start) : bisect_left(rule_at, stop)]:
+                pair = Pair(a=tuple(ra), b=tuple(rb))
+                kept = self.invalid if code == 1 else self.true_pairs  # relaxed only: repaired later
+                new = kept.setdefault(pair.key(), pair) is pair
+                ledger.invalid_pairs += new and code == 1
+                ledger.pairs_with_relaxation += new and guided
+                ledger.pairs_without_relaxation += new and not guided
+            if e < stop:  # only a perturbed sample and a test row may form a counted pair
+                members = [(tuple(rows[m].tolist()), labels[m]) for m in compress((a[e], b[e]), ok_e)]
+                for pair in _find_true_partners(members, self.index, rng)[0]:
+                    ledger.pairs_with_relaxation += self.keep(pair)
+            start = stop
+            if self.full():
+                break
+        return evals + start
 
 
 def _pair_gradients(model: ModelUnderTest, a: np.ndarray, b: np.ndarray):
@@ -341,14 +373,8 @@ def _candidate_count(spec: GeneratorSpec, mutable: list[int], domains, guided: b
 
 
 def _propose(
-    spec: GeneratorSpec,
-    model: ModelUnderTest,
-    a0: np.ndarray,
-    b0: np.ndarray,
-    mutable: list[int],
-    domains: Sequence[ValueDomain],
-    rng: np.random.Generator,
-    guided: bool,
+    spec: GeneratorSpec, model: ModelUnderTest, a0: np.ndarray, b0: np.ndarray,
+    mutable: list[int], domains: Sequence[ValueDomain], rng: np.random.Generator, guided: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, live): pair k of seed i is (a[i, k], b[i, k]), tried in slot
     order unless dead. Slot 0 is the seed pair (a0[i], b0[i]). Base mode
@@ -401,14 +427,8 @@ def _propose(
 
 
 def _generate(
-    spec: GeneratorSpec,
-    model: ModelUnderTest,
-    test_data: Dataset,
-    sensitive: int,
-    causal: int | None,
-    budget: int,
-    seed: int,
-    domains: Sequence[ValueDomain] | None,
+    spec: GeneratorSpec, model: ModelUnderTest, test_data: Dataset, sensitive: int,
+    causal: int | None, budget: int, seed: int, domains: Sequence[ValueDomain] | None,
     index: _TestIndex | None,
 ) -> TestSuite:
     """The engine of both modes (causal=None is base mode). One evaluation
@@ -418,7 +438,7 @@ def _generate(
     test_data.require_rows("test data")  # a split with rows has its own domains
     if domains is None:
         domains = test_data.domains
-    run = _Run(model, index or _TestIndex(test_data, model, sensitive), budget)
+    run = _Run(index or _TestIndex(test_data, model, sensitive), budget, causal)
     # partner search has its own stream, so proposals never depend on consumption
     rng, partner_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     guided = causal is not None
@@ -427,7 +447,7 @@ def _generate(
     pairable = any(domains[j].size > 1 for j in fixed)
     mutable = [j for j in range(test_data.width) if j not in fixed and pairable]
     seeds = max(1, _BLOCK_PAIRS // (1 + _candidate_count(spec, mutable, domains, guided)))
-    n = test_data.n_rows
+    n, width = test_data.n_rows, test_data.width
 
     evals, cap = 0, max(50 * budget, 2000)
     while not run.full() and evals < cap:
@@ -435,69 +455,49 @@ def _generate(
         a0 = test_data.rows[drawn]
         b0 = a0.copy()
         b0[:, sensitive] = domains[sensitive].sample_excluding(rng, a0[:, sensitive])
+        d0 = d0_structure = None
         if guided:
             # a second test row, kept as the partner if the pair is already relaxed-valid
             other = rng.integers(n, size=seeds) if n > 1 else drawn
             d0 = test_data.rows[other]
-            d0_structure = (_block_structure(a0, d0, sensitive, causal) * (drawn != other)).tolist()
+            d0_structure = _block_structure(a0, d0, sensitive, causal) * (drawn != other)
             c_dom = domains[causal]
             b0[:, causal] = c_dom.sample(rng, seeds)
             same = (b0[:, fixed] == a0[:, fixed]).all(axis=1)
             b0[same, causal] = c_dom.sample_excluding(rng, a0[same, causal])
         pa, pb, live = _propose(spec, model, a0, b0, mutable, domains, rng, guided)
-        slots = pa.shape[1]
-        a_keys = list(map(tuple, pa.reshape(-1, pa.shape[2]).tolist()))
-        b_keys = list(map(tuple, pb.reshape(-1, pa.shape[2]).tolist()))
-        run.label(a_keys + b_keys)
-        live = live.tolist()
-        structure = _block_structure(pa, pb, sensitive, causal).ravel().tolist()
-        partnered = [()] * len(a_keys)  # base mode never searches a partner
-        if guided:
-            partnered = list(zip(run.index.partnered(pa), run.index.partnered(pb)))
-        for i in range(seeds):
-            if run.full() or evals >= cap:
-                break
-            first = i * slots
-            if guided and d0_structure[i]:
-                ka, kd = a_keys[first], tuple(d0[i].tolist())
-                la, ld = run.labels_of(ka, kd)
-                if la != ld:
-                    evals += 1
-                    _consider(run, ka, kd, d0_structure[i], None, guided, partner_rng)
-                    continue
-            for k in range(slots):  # slot 0, the seed pair, is always live
-                if run.full() or evals >= cap:
-                    break
-                if live[i][k]:
-                    evals += 1
-                    j = first + k
-                    ka, kb = a_keys[j], b_keys[j]
-                    _consider(run, ka, kb, structure[j], partnered[j], guided, partner_rng)
+        evals = run.walk(pa, pb, live, d0, d0_structure, evals, cap, partner_rng)
 
     # invalidity repair over relaxed-only pairs
     invalid = list(run.invalid.values())
-    both = np.array([(p.a, p.b) for p in invalid], dtype=np.int64).reshape(-1, 2, test_data.width)
-    flags = run.index.partnered(both) if invalid else []
-    for pair, ok in zip(invalid, zip(flags[0::2], flags[1::2])):
-        la, lb = run.labels_of(pair.a, pair.b)
-        members = [m for m, keep in zip([(pair.a, la), (pair.b, lb)], ok) if keep]
+    both = np.array([(p.a, p.b) for p in invalid], dtype=np.int64).reshape(-1, 2, width)
+    flags = run.index.partnered(both)
+    labels = (run.label(both.reshape(-1, width))[1] & 1).tolist()
+    for pair, la, lb, ok_a, ok_b in zip(invalid, labels[0::2], labels[1::2], flags[0::2], flags[1::2]):
+        members = [m for m, keep in zip([(pair.a, la), (pair.b, lb)], (ok_a, ok_b)) if keep]
         found, failed = _find_true_partners(members, run.index, partner_rng)
         if found:
             run.ledger.repaired_pairs += 1
         for new_pair in found:
-            run.record_true_pair(new_pair)
+            run.keep(new_pair)
         run.ledger.failed_samples += failed + 2 - len(members)  # filtered: no partner
 
-    if not run.full():
+    reached = run.full()
+    if not reached:
         log.warning("budget %d unreachable, produced %d samples", run.budget, len(run.samples))
-    unique = list(run.samples.keys())
+    # the label cache goes, then each sample's key gives way to its tuple one
+    # by one, so the suite never holds both at once
+    run.codes.clear()
+    unpack = struct.Struct(f"={width}q").unpack
+    unique = [unpack(run.samples.popitem()[0]) for _ in range(len(run.samples))]
+    unique.reverse()
     idi_marks = {member for pair in run.true_pairs.values() for member in (pair.a, pair.b)}
     return TestSuite(
         unique_samples=unique,
         idi_samples=[k for k in unique if k in idi_marks],
         true_pairs=list(run.true_pairs.values()),
         ledger=run.ledger,
-        budget_reached=run.full(),
+        budget_reached=reached,
     )
 
 

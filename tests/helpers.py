@@ -1,6 +1,8 @@
-"""Reference checks the tests use and the pipeline does not."""
+"""Reference checks and walks the tests use and the pipeline does not."""
 
 import numpy as np
+
+from fairprobe.generators import Pair, PairLedger, _block_structure, _find_true_partners
 
 
 def domain_contains(domain, v) -> bool:
@@ -15,3 +17,115 @@ def is_acyclic(graph) -> bool:
     pos = {node: p for p, node in enumerate(graph.topo_order)}
     js, is_ = np.nonzero(graph.weights)
     return all(pos[i] < pos[j] for i, j in zip(is_, js))
+
+
+class ReferenceRun:
+    """The engine's run state as it was when blocks were consumed one pair at
+    a time, with every sample, label and test row keyed by its tuple. The
+    test-row labels (`label_of`) are its own, read from the `_TestIndex`."""
+
+    def __init__(self, model, index, budget: int):
+        self.model = model
+        self.index = index
+        self.budget = budget
+        self.samples: dict[tuple, None] = {}
+        # true and relaxed-only pairs by Pair.key(), in discovery order
+        self.true_pairs: dict = {}
+        self.invalid: dict = {}
+        self.ledger = PairLedger()
+        self.label_of = dict(zip(map(tuple, index.rows.tolist()), index.labels.tolist()))
+        # test rows are never sent to the model again
+        self._label_cache: dict[tuple, int] = dict(self.label_of)
+
+    def bank(self, key: tuple) -> None:
+        if len(self.samples) < self.budget and key not in self.samples:
+            self.samples[key] = None
+
+    def label(self, keys) -> None:
+        """Cache the keyed samples' labels, with one model query for the uncached."""
+        cache = self._label_cache
+        missing = [k for k in dict.fromkeys(keys) if k not in cache]
+        if missing:
+            labels, _ = self.model.predict_batch(np.asarray(missing, dtype=float))
+            cache.update(zip(missing, labels.tolist()))
+
+    def labels_of(self, ka: tuple, kb: tuple) -> tuple[int, int]:
+        """The labels of two samples already labelled (`label`) or test rows."""
+        return self._label_cache[ka], self._label_cache[kb]
+
+    def record_true_pair(self, pair) -> bool:
+        """Keep a new true pair and bank its members, which adds a test-row
+        partner found for it; False if the pair was already counted."""
+        self.bank(pair.a)
+        self.bank(pair.b)
+        return self.true_pairs.setdefault(pair.key(), pair) is pair
+
+    def full(self) -> bool:
+        return len(self.samples) >= self.budget
+
+
+def reference_consider(run, ka: tuple, kb: tuple, structure: int, partnered, guided: bool, rng) -> None:
+    """Bank both members and apply the pair rule, given the pair's
+    `_block_structure` code and its members' `partnered` flags. A true pair
+    credits `pairs_without_relaxation` in base mode, else `pairs_with_relaxation`."""
+    run.bank(ka)
+    run.bank(kb)
+    if ka == kb:
+        return
+    la, lb = run.labels_of(ka, kb)
+    ledger = run.ledger
+    if ka in run.label_of or kb in run.label_of:  # a test row
+        if la == lb or not structure:
+            return
+        pair = Pair(a=ka, b=kb)
+        if not guided:
+            ledger.pairs_without_relaxation += run.record_true_pair(pair)
+        elif structure == 2:
+            ledger.pairs_with_relaxation += run.record_true_pair(pair)
+        elif run.invalid.setdefault(pair.key(), pair) is pair:
+            ledger.pairs_with_relaxation += 1
+            ledger.invalid_pairs += 1
+    elif guided and any(partnered):
+        # only a perturbed sample and a test row may form a counted pair
+        members = [m for m, ok in zip([(ka, la), (kb, lb)], partnered) if ok]
+        for pair in _find_true_partners(members, run.index, rng)[0]:
+            ledger.pairs_with_relaxation += run.record_true_pair(pair)
+
+
+def reference_walk(run, causal, pa, pb, live, d0, d0_structure, evals: int, cap: int, partner_rng) -> int:
+    """Consume one `_propose` block pair by pair, in draw order, until the
+    budget fills or `cap` evaluations are used; return the evaluations used.
+    This is the engine's slot loop from before blocks were walked as arrays,
+    the reference that `_Run.walk` must match (causal=None is base mode)."""
+    guided, sensitive, seeds = causal is not None, run.index.sensitive, len(pa)
+    if guided:
+        d0_structure = d0_structure.tolist()
+    slots = pa.shape[1]
+    a_keys = list(map(tuple, pa.reshape(-1, pa.shape[2]).tolist()))
+    b_keys = list(map(tuple, pb.reshape(-1, pa.shape[2]).tolist()))
+    run.label(a_keys + b_keys)
+    live = live.tolist()
+    structure = _block_structure(pa, pb, sensitive, causal).ravel().tolist()
+    partnered = [()] * len(a_keys)  # base mode never searches a partner
+    if guided:
+        partnered = list(zip(run.index.partnered(pa), run.index.partnered(pb)))
+    for i in range(seeds):
+        if run.full() or evals >= cap:
+            break
+        first = i * slots
+        if guided and d0_structure[i]:
+            ka, kd = a_keys[first], tuple(d0[i].tolist())
+            la, ld = run.labels_of(ka, kd)
+            if la != ld:
+                evals += 1
+                reference_consider(run, ka, kd, d0_structure[i], None, guided, partner_rng)
+                continue
+        for k in range(slots):  # slot 0, the seed pair, is always live
+            if run.full() or evals >= cap:
+                break
+            if live[i][k]:
+                evals += 1
+                j = first + k
+                ka, kb = a_keys[j], b_keys[j]
+                reference_consider(run, ka, kb, structure[j], partnered[j], guided, partner_rng)
+    return evals

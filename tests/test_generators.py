@@ -2,19 +2,22 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_hypercube_fixture
-from helpers import domain_contains
+from helpers import ReferenceRun, domain_contains, reference_walk
 
 from fairprobe import generators
 from fairprobe.data import Schema, ValueDomain, from_arrays
-from fairprobe.errors import ConfigInvalid, EmptyData, IndexCollision, WidthMismatch
+from fairprobe.errors import (
+    ConfigInvalid, EmptyData, IndexCollision, UnknownFeature, WidthMismatch,
+)
 from fairprobe.generators import (
     GeneratorSpec,
     Pair,
@@ -22,6 +25,7 @@ from fairprobe.generators import (
     is_true_idi,
     run_base_generator,
     run_causalft,
+    _Run,
     _TestIndex,
     _block_structure,
     _find_true_partners,
@@ -87,6 +91,15 @@ class TestTrueIdi:
         with pytest.raises(WidthMismatch):
             is_relaxed_idi(pair, NARROW_MODEL, sensitive=0, causal=1)
 
+    def test_negative_index_rejected(self):
+        # -1 would read the last column as the sensitive one
+        with pytest.raises(UnknownFeature, match=r"index -1 outside \[0, 2\)"):
+            is_true_idi(Pair((0, 1), (0, 2)), fixed_logistic([1.0, 1.0]), -1)
+
+    def test_index_past_width_rejected(self):
+        with pytest.raises(UnknownFeature, match=r"index 5 outside \[0, 2\)"):
+            is_true_idi(Pair((0, 1), (0, 2)), fixed_logistic([1.0, 1.0]), 5)
+
 
 class TestRelaxedIdi:
     def test_pair_differing_on_both_fixed_features(self):
@@ -120,6 +133,10 @@ class TestRelaxedIdi:
         pair = Pair(a=(0, 1), b=(1, 1))
         with pytest.raises(IndexCollision):
             is_relaxed_idi(pair, fixed_logistic([1.0, 1.0]), 1, 1)
+
+    def test_causal_index_past_width_rejected(self):
+        with pytest.raises(UnknownFeature, match=r"index 7 outside \[0, 2\)"):
+            is_relaxed_idi(Pair((0, 1), (0, 2)), fixed_logistic([1.0, 1.0]), 0, 7)
 
 
 def masked_differs_only_at(a, b, idx):
@@ -528,6 +545,41 @@ class TestEngineBytes:
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGESTS[kind, mode]
 
 
+class TestLabelQueries:
+    """Every model query of the base and guided random suites of
+    `TestEngineBytes`, pinned by a digest of each query's shape and rows in
+    order. Output digests catch a flipped label only after it happens; this
+    pins the composition that fixes every label bit: per block, the uncached
+    a-members and then b-members of all slots, live or not, in first-occurrence
+    order, after one query of the test rows."""
+
+    DIGESTS = {
+        "base": "b3d411a528c24e5dfae177071ce5dc029d82eb2f9f80a3ab53b80716c91dfab0",
+        "guided": "c3f6a07bcaad46a017d6cc20ee788c8e83ea9b9331d2b1d5770a37710a173378",
+    }
+
+    @pytest.mark.parametrize("mode", ["base", "guided"])
+    def test_query_digest(self, mode, demo_split, demo_lr, demo_dataset, monkeypatch):
+        sent = hashlib.sha256()
+        predict_batch = ModelUnderTest.predict_batch
+
+        def recording(model, X):
+            rows = np.ascontiguousarray(X, dtype=np.float64)
+            sent.update(np.array(rows.shape, dtype=np.int64).tobytes() + rows.tobytes())
+            return predict_batch(model, X)
+
+        monkeypatch.setattr(ModelUnderTest, "predict_batch", recording)
+        _, test_data = demo_split
+        s = demo_dataset.schema.index("gender")
+        spec, domains = GeneratorSpec(kind="random"), demo_dataset.domains
+        if mode == "guided":
+            c = demo_dataset.schema.index("relationship")
+            run_causalft(spec, demo_lr, test_data, s, c, 600, 5, domains=domains)
+        else:
+            run_base_generator(spec, demo_lr, test_data, s, 600, 5, domains=domains)
+        assert sent.hexdigest() == self.DIGESTS[mode]
+
+
 @st.composite
 def blocks(draw):
     """(test rows, their labels, pa, pb, member labels, s, c): a block of
@@ -583,6 +635,148 @@ class TestBlockChecks:
             kept_pairs, kept_failed = _find_true_partners(kept, index, new_rng)
             assert kept_pairs == pairs and kept_failed + len(members) - len(kept) == failed
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+class ParityModel:
+    """Labels each row by the parity of a weighted sum of its values and
+    records every query."""
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, dtype=float)
+        self.queries = []
+
+    def predict_batch(self, X):
+        self.queries.append(np.array(X))
+        return np.rint(np.asarray(X) @ self.weights).astype(np.int64) % 2, None
+
+
+def walk_case(ints):
+    """One run of a guided or base walk over 1-3 blocks of tiny rows, drawn
+    with ints(lo, hi): few values, so keys repeat and perturbed rows find
+    test-row partners; a small budget and cap, so either may end the run."""
+    width = ints(2, 4)
+    s = ints(0, width - 1)
+    c = (s + ints(1, width - 1)) % width if ints(0, 1) else None
+    seeded = [[ints(0, 2) for j in range(width)] for _ in range(ints(1, 3))]
+    rows = list(seeded)
+    for row in seeded:  # twins at the sensitive index: only partner search banks them
+        for _ in range(ints(0, 3)):
+            rows.append(row[:s] + [ints(0, 2)] + row[s + 1 :])
+    rows = np.array(rows)
+    weights = [ints(-2, 2) for _ in range(width)]
+    blocks, pairs = [], 0
+    for _ in range(ints(1, 3)):
+        seeds, slots = ints(1, 4), ints(1, 5)
+        drawn = np.array([ints(0, len(seeded) - 1) for _ in range(seeds)])
+        pa = np.repeat(rows[drawn][:, None], slots, axis=1)
+        pb = pa.copy()
+        for i in range(seeds):
+            for k in range(slots):  # slot 0's a-member is the drawn test row
+                shape = ints(0, 3) % 3 if k else 2
+                if shape == 0:  # sensitive values no test row holds: partner search
+                    pa[i, k, s], pb[i, k, s] = ints(3, 5), ints(3, 5)
+                    continue
+                if shape == 1:
+                    pa[i, k] = [v if ints(0, 3) else ints(0, 2) for v in pa[i, k]]
+                pb[i, k] = [v if ints(0, 2) else ints(0, 2) for v in pa[i, k]]
+        live = np.array([[k == 0 or ints(0, 2) > 0 for k in range(slots)] for _ in range(seeds)])
+        d0 = d0_structure = None
+        if c is not None:
+            other = np.array([ints(0, len(seeded) - 1) for _ in range(seeds)])
+            d0 = rows[other]
+            d0_structure = _block_structure(rows[drawn], d0, s, c) * (drawn != other)
+        blocks.append((pa, pb, live, d0, d0_structure))
+        pairs += int(live.sum())
+    budget, cap = ints(1, pairs + 2), ints(1, 2 * pairs)
+    return rows, weights, s, c, blocks, budget, cap, ints(0, 2**32 - 1)
+
+
+@st.composite
+def walk_cases(draw):
+    return walk_case(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+def run_both_walks(case):
+    """Walk the case's blocks with the engine and with the per-pair
+    reference, each with its own model, index and partner stream: (engine
+    run, reference run, engine state, reference state), where a state is
+    (evaluations used, partner stream state, model queries)."""
+    rows, weights, s, c, blocks, budget, cap, seed = case
+    runs, states = [], []
+    for engine in (True, False):
+        model = ParityModel(weights)
+        index = _TestIndex(SimpleNamespace(rows=rows), model, s)
+        run = _Run(index, budget, c) if engine else ReferenceRun(model, index, budget)
+        walk = run.walk if engine else partial(reference_walk, run, c)
+        rng, evals = np.random.default_rng(seed), 0
+        for block in blocks:
+            if run.full() or evals >= cap:
+                break
+            evals = walk(*block, evals, cap, rng)
+        runs.append(run)
+        states.append((evals, rng.bit_generator.state, model.queries))
+    return (*runs, *states)
+
+
+def assert_walks_match(new, ref, new_state, ref_state):
+    assert [tuple(np.frombuffer(k, dtype=np.int64).tolist()) for k in new.samples] == list(ref.samples)
+    assert list(new.true_pairs.items()) == list(ref.true_pairs.items())
+    assert list(new.invalid.items()) == list(ref.invalid.items())
+    assert new.ledger == ref.ledger
+    (new_evals, new_rng, new_queries), (ref_evals, ref_rng, ref_queries) = new_state, ref_state
+    assert new_evals == ref_evals and new_rng == ref_rng
+    # the same model queries, row for row: labels cannot depend on the walk
+    assert len(new_queries) == len(ref_queries)
+    for X, Y in zip(new_queries, ref_queries):
+        assert X.dtype == Y.dtype and np.array_equal(X, Y)
+
+
+class TestBlockWalk:
+    """`_Run.walk` consumes a block with array operations and bulk banking;
+    it must match the per-pair reference walk (tests/helpers.py) in every
+    banked sample, counted pair, ledger entry, evaluation, partner draw and
+    model query."""
+
+    @settings(deadline=None)
+    @given(walk_cases())
+    def test_block_walk_matches_the_per_pair_walk(self, case):
+        assert_walks_match(*run_both_walks(case))
+
+    def test_cases_reach_every_branch(self, monkeypatch):
+        """Seeded cases of the same builder reach each branch where the two
+        walks could part, so the property above is not vacuous on any."""
+        import helpers
+
+        seen = Counter()
+        consider, record = helpers.reference_consider, ReferenceRun.record_true_pair
+
+        def traced_record(run, pair):
+            # a rule pair's members are banked already: only a partner can fill
+            before = run.full()
+            new = record(run, pair)
+            seen["filled by a partner"] += not before and run.full()
+            return new
+
+        def traced_consider(run, ka, kb, structure, partnered, guided, rng):
+            seen["a0-d0 pair"] += partnered is None
+            before, by_partner = run.full(), seen["filled by a partner"]
+            consider(run, ka, kb, structure, partnered, guided, rng)
+            by_member = by_partner == seen["filled by a partner"]
+            seen["filled by a member"] += not before and run.full() and by_member
+
+        monkeypatch.setattr(helpers, "reference_consider", traced_consider)
+        monkeypatch.setattr(ReferenceRun, "record_true_pair", traced_record)
+        rng = np.random.default_rng(18)
+        for _ in range(1000):
+            case = walk_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+            new, ref, new_state, ref_state = run_both_walks(case)
+            assert_walks_match(new, ref, new_state, ref_state)
+            seen["cap binds"] += not ref.full() and ref_state[0] == case[6]
+            for pa, pb, *_ in case[4]:
+                members = np.concatenate([pa, pb]).reshape(-1, pa.shape[2]).tolist()
+                seen["repeated keys"] += len(set(map(tuple, members))) < len(members)
+        branches = ("a0-d0 pair", "filled by a partner", "filled by a member", "cap binds", "repeated keys")
+        assert all(seen[b] for b in branches), seen
 
 
 class TestModelQueries:
