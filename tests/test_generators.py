@@ -657,13 +657,14 @@ def walk_case(ints):
     width = ints(2, 4)
     s = ints(0, width - 1)
     c = (s + ints(1, width - 1)) % width if ints(0, 1) else None
-    seeded = [[ints(0, 2) for j in range(width)] for _ in range(ints(1, 3))]
+    seeded = [[ints(0, 2) for _ in range(width)] for _ in range(ints(1, 3))]
     rows = list(seeded)
     for row in seeded:  # twins at the sensitive index: only partner search banks them
-        for _ in range(ints(0, 3)):
+        for _ in range(ints(1, 3)):
             rows.append(row[:s] + [ints(0, 2)] + row[s + 1 :])
     rows = np.array(rows)
     weights = [ints(-2, 2) for _ in range(width)]
+    weights[s] = 2 * ints(0, 1) - 1  # odd: a sensitive step can flip the label
     blocks, pairs = [], 0
     for _ in range(ints(1, 3)):
         seeds, slots = ints(1, 4), ints(1, 5)
@@ -672,7 +673,7 @@ def walk_case(ints):
         pb = pa.copy()
         for i in range(seeds):
             for k in range(slots):  # slot 0's a-member is the drawn test row
-                shape = ints(0, 3) % 3 if k else 2
+                shape = max(0, ints(-2, 2)) if k else 2  # mostly 0
                 if shape == 0:  # sensitive values no test row holds: partner search
                     pa[i, k, s], pb[i, k, s] = ints(3, 5), ints(3, 5)
                     continue
