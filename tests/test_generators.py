@@ -744,7 +744,7 @@ class TestBlockWalk:
         assert_walks_match(*run_both_walks(case))
 
     def test_cases_reach_every_branch(self, monkeypatch):
-        """Seeded cases of the same builder reach each branch where the two
+        """Seeded cases from `walk_case` reach each branch where the two
         walks could part, so the property above is not vacuous on any."""
         import helpers
 
