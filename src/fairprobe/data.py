@@ -36,14 +36,18 @@ _KINDS = (KIND_CATEGORICAL, KIND_INTEGER)
 
 def read_json_object(path: str | Path, what: str, invalid: type[FairprobeError]) -> dict:
     """The JSON object in the file at `path`. A missing file raises
-    InputNotFound; invalid JSON or a non-object document raises `invalid`.
-    `what` names the file in the message."""
+    InputNotFound; invalid JSON, a NaN, Infinity or -Infinity constant, or a
+    non-object document raises `invalid`. `what` names the file in the message."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InputNotFound(f"{what} file {path} not found") from None
+
+    def reject(constant: str):
+        raise invalid(f"{what} file {path} holds {constant}, which strict JSON does not allow")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise invalid(f"{what} file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -29,12 +29,11 @@ the test data at the end, and re-pairs perturbed samples with test rows.
 from __future__ import annotations
 
 import logging
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, filterfalse, islice
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -103,19 +102,20 @@ class PairLedger:
 
 @dataclass
 class TestSuite:
-    """Unique generated samples plus the discovered discriminatory subset."""
+    """Unique generated samples plus the discovered discriminatory subset.
+
+    `unique_samples` is one C-contiguous (n, width) int64 matrix, a row per
+    banked sample in bank order. `idi_samples` holds, as tuples in the same
+    order, the samples that are members of a pair in `true_pairs`."""
 
     __test__ = False  # not a pytest class
 
-    unique_samples: list[tuple[int, ...]]
+    unique_samples: np.ndarray
     idi_samples: list[tuple[int, ...]]
     true_pairs: list[Pair]
     ledger: PairLedger
     budget_reached: bool
     used_fallback: bool = False
-
-    def sample_matrix(self) -> np.ndarray:
-        return np.asarray(self.unique_samples, dtype=np.int64).reshape(len(self.unique_samples), -1)
 
 
 def _block_structure(pa: np.ndarray, pb: np.ndarray, s: int, c: int | None) -> np.ndarray:
@@ -161,6 +161,17 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     values: equal exactly when the rows are."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(f"V{rows.itemsize * rows.shape[-1]}").ravel().tolist()
+
+
+def _key_rows(keys: Collection[bytes], width: int) -> np.ndarray:
+    """The rows of `_row_keys` keys, in order, as one C-contiguous
+    (len(keys), width) int64 matrix."""
+    return np.fromiter(keys, f"V{8 * width}", len(keys)).view(np.int64).reshape(-1, width)
+
+
+def _pair_keys(pairs: Iterable[Pair], width: int) -> list[bytes]:
+    """The `_row_keys` of the pairs' members, interleaved: a0, b0, a1, ..."""
+    return _row_keys(np.array([(p.a, p.b) for p in pairs], dtype=np.int64).reshape(-1, width))
 
 
 class _TestIndex:
@@ -225,7 +236,8 @@ def _find_true_partners(
 
 class _Run:
     """Mutable state of one generation run. Samples and labels are keyed by
-    each row's `_row_keys` bytes; tuples are built only for counted pairs."""
+    each row's `_row_keys` bytes; tuples are built only for counted pairs and
+    searched members, and the suite's samples become one matrix at the end."""
 
     def __init__(self, index: _TestIndex, budget: int, causal: int | None):
         self.index, self.budget, self.causal = index, budget, causal
@@ -485,17 +497,16 @@ def _generate(
     reached = run.full()
     if not reached:
         log.warning("budget %d unreachable, produced %d samples", run.budget, len(run.samples))
-    # the label cache goes, then each sample's key gives way to its tuple one
-    # by one, so the suite never holds both at once
+    # the label cache goes before the samples' matrix is built beside their keys
     run.codes.clear()
-    unpack = struct.Struct(f"={width}q").unpack
-    unique = [unpack(run.samples.popitem()[0]) for _ in range(len(run.samples))]
-    unique.reverse()
-    idi_marks = {member for pair in run.true_pairs.values() for member in (pair.a, pair.b)}
+    unique = _key_rows(run.samples, width)
+    pairs = list(run.true_pairs.values())
+    marks = set(_pair_keys(pairs, width))
+    idi = np.fromiter(map(marks.__contains__, run.samples), bool, len(run.samples))
     return TestSuite(
         unique_samples=unique,
-        idi_samples=[k for k in unique if k in idi_marks],
-        true_pairs=list(run.true_pairs.values()),
+        idi_samples=list(map(tuple, unique[idi].tolist())),
+        true_pairs=pairs,
         ledger=run.ledger,
         budget_reached=reached,
     )

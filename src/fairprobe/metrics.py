@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset, Schema
 from .errors import EmptySuite, MissingGroup, UnknownFeature
-from .generators import TestSuite
+from .generators import TestSuite, _key_rows, _pair_keys, _row_keys
 from .models import ModelUnderTest
 
 
@@ -88,7 +88,7 @@ class FairnessReport:
 
 def idi_ratio(suite: TestSuite) -> float:
     """Unique discriminatory instances over unique generated samples."""
-    if not suite.unique_samples:
+    if not len(suite.unique_samples):
         raise EmptySuite("suite has no samples")
     return len(suite.idi_samples) / len(suite.unique_samples)
 
@@ -131,24 +131,22 @@ def labeled_samples_from_suite(
     label of the test-row member of its pair. Samples outside any pair carry
     no ground truth and are excluded.
     """
-    row_label = dict(zip(map(tuple, test_data.rows.tolist()), test_data.labels.tolist()))
-    labeled: dict[tuple, int] = {}
-    for pair in suite.true_pairs:
-        a_lab = row_label.get(pair.a)
-        b_lab = row_label.get(pair.b)
+    row_label = dict(zip(_row_keys(test_data.rows), test_data.labels.tolist()))
+    keys = _pair_keys(suite.true_pairs, test_data.width)
+    labeled: dict[bytes, int] = {}
+    for ka, kb in zip(keys[0::2], keys[1::2]):
+        a_lab = row_label.get(ka)
+        b_lab = row_label.get(kb)
         if a_lab is not None:
-            labeled.setdefault(pair.a, a_lab)
+            labeled.setdefault(ka, a_lab)
         if b_lab is not None:
-            labeled.setdefault(pair.b, b_lab)
+            labeled.setdefault(kb, b_lab)
         if a_lab is None and b_lab is not None:
-            labeled.setdefault(pair.a, b_lab)
+            labeled.setdefault(ka, b_lab)
         if b_lab is None and a_lab is not None:
-            labeled.setdefault(pair.b, a_lab)
-    if not labeled:
-        return np.empty((0, test_data.width), dtype=np.int64), np.empty(0, dtype=np.int64)
-    X = np.asarray(list(labeled.keys()), dtype=np.int64)
-    y = np.asarray(list(labeled.values()), dtype=np.int64)
-    return X, y
+            labeled.setdefault(kb, a_lab)
+    y = np.fromiter(labeled.values(), np.int64, len(labeled))
+    return _key_rows(labeled, test_data.width), y
 
 
 def build_report(
@@ -158,9 +156,8 @@ def build_report(
     group is empty), EOD over the pair-labeled subset (None when a group lacks
     positives)."""
     ratio = idi_ratio(suite)
-    X = suite.sample_matrix()
     try:
-        spd_value = spd(X, model, rule, test_data.schema)
+        spd_value = spd(suite.unique_samples, model, rule, test_data.schema)
     except MissingGroup:
         spd_value = None
     X_lab, y_lab = labeled_samples_from_suite(suite, test_data)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, from_arrays
-from .generators import GeneratorSpec, TestSuite, _TestIndex, run_causalft
+from .generators import GeneratorSpec, TestSuite, _pair_keys, _row_keys, _TestIndex, run_causalft
 from .metrics import FairnessReport, GroupRule, build_report
 from .models import ModelConfig, ModelUnderTest, train
 from .stats import _midranks
@@ -25,18 +25,19 @@ def correct_pairs(
     test rows are labelled in one model query; duplicates are dropped.
     """
     labels, _ = model.predict_batch(test_data.rows.astype(float))
-    label_of = dict(zip(map(tuple, test_data.rows.tolist()), labels.tolist()))
+    label_of = dict(zip(_row_keys(test_data.rows), labels.tolist()))
+    keys = _pair_keys(suite.true_pairs, test_data.width)
     out: dict[tuple[tuple[int, ...], int], None] = {}
-    for pair in suite.true_pairs:
-        a_in = pair.a in label_of
-        b_in = pair.b in label_of
+    for pair, ka, kb in zip(suite.true_pairs, keys[0::2], keys[1::2]):
+        a_in = ka in label_of
+        b_in = kb in label_of
         if a_in and b_in:
             out.setdefault((pair.a, 1), None)
             out.setdefault((pair.b, 1), None)
         elif a_in:
-            out.setdefault((pair.b, label_of[pair.a]), None)
+            out.setdefault((pair.b, label_of[ka]), None)
         elif b_in:
-            out.setdefault((pair.a, label_of[pair.b]), None)
+            out.setdefault((pair.a, label_of[kb]), None)
     return list(out.keys())
 
 

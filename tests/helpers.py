@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from fairprobe.generators import Pair, PairLedger, _block_structure, _find_true_partners
+from fairprobe.data import Dataset
+from fairprobe.generators import Pair, PairLedger, TestSuite, _block_structure, _find_true_partners
+from fairprobe.models import ModelUnderTest
 
 
 def domain_contains(domain, v) -> bool:
@@ -129,3 +131,64 @@ def reference_walk(run, causal, pa, pb, live, d0, d0_structure, evals: int, cap:
                 ka, kb = a_keys[j], b_keys[j]
                 reference_consider(run, ka, kb, structure[j], partnered[j], guided, partner_rng)
     return evals
+
+
+# The test-row look-ups of `metrics.labeled_samples_from_suite` and
+# `retrain.correct_pairs` as they were when every test row was keyed by its
+# tuple, the references that the byte-keyed versions must match.
+
+
+def labeled_samples_from_suite(
+    suite: TestSuite, test_data: Dataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Samples from the suite's pairs with ground-truth labels attached.
+
+    A test-row member keeps its own label; a synthetic member inherits the
+    label of the test-row member of its pair. Samples outside any pair carry
+    no ground truth and are excluded.
+    """
+    row_label = dict(zip(map(tuple, test_data.rows.tolist()), test_data.labels.tolist()))
+    labeled: dict[tuple, int] = {}
+    for pair in suite.true_pairs:
+        a_lab = row_label.get(pair.a)
+        b_lab = row_label.get(pair.b)
+        if a_lab is not None:
+            labeled.setdefault(pair.a, a_lab)
+        if b_lab is not None:
+            labeled.setdefault(pair.b, b_lab)
+        if a_lab is None and b_lab is not None:
+            labeled.setdefault(pair.a, b_lab)
+        if b_lab is None and a_lab is not None:
+            labeled.setdefault(pair.b, a_lab)
+    if not labeled:
+        return np.empty((0, test_data.width), dtype=np.int64), np.empty(0, dtype=np.int64)
+    X = np.asarray(list(labeled.keys()), dtype=np.int64)
+    y = np.asarray(list(labeled.values()), dtype=np.int64)
+    return X, y
+
+
+def correct_pairs(
+    suite: TestSuite, model: ModelUnderTest, test_data: Dataset
+) -> list[tuple[tuple[int, ...], int]]:
+    """Corrected training rows from the suite's discriminatory pairs.
+
+    When exactly one member is a test row, the synthetic member is emitted
+    with the test member's predicted label. Both members of a pair of two
+    test rows are emitted with label 1, without consulting the model. The
+    test rows are labelled in one model query; duplicates are dropped.
+    """
+    labels, _ = model.predict_batch(test_data.rows.astype(float))
+    label_of = dict(zip(map(tuple, test_data.rows.tolist()), labels.tolist()))
+    out: dict[tuple[tuple[int, ...], int], None] = {}
+    for pair in suite.true_pairs:
+        a_in = pair.a in label_of
+        b_in = pair.b in label_of
+        if a_in and b_in:
+            out.setdefault((pair.a, 1), None)
+            out.setdefault((pair.b, 1), None)
+        elif a_in:
+            out.setdefault((pair.b, label_of[pair.a]), None)
+        elif b_in:
+            out.setdefault((pair.a, label_of[pair.b]), None)
+    return list(out.keys())
+

@@ -355,6 +355,27 @@ class TestConfigErrors:
         assert main(["test", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, constant",
+        [
+            ({"models": [{"name": "lr", "kind": "logistic", "l2": float("inf")}]}, "Infinity"),
+            ({"models": [{"name": "lr", "kind": "logistic", "l2": float("-inf")}]}, "-Infinity"),
+            ({"edge_threshold": float("nan")}, "NaN"),
+        ],
+        ids=["infinity", "minus_infinity", "nan"],
+    )
+    def test_non_finite_constant_exits_one_before_any_work(
+        self, demo_files, tmp_path, capsys, overrides, constant
+    ):
+        """json.dumps writes NaN and the infinities as bare constants, which
+        strict JSON does not allow: the config is refused before training,
+        so no output file is written."""
+        path = small_config(demo_files, tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["test", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config file {path} holds {constant}," in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["test", "analyze", "retrain"])
     def test_group_rule_for_a_feature_not_in_the_schema_exits_one(
         self, demo_files, tmp_path, capsys, command

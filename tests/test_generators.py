@@ -16,7 +16,7 @@ from helpers import ReferenceRun, domain_contains, reference_walk
 from fairprobe import generators
 from fairprobe.data import Schema, ValueDomain, from_arrays
 from fairprobe.errors import (
-    ConfigInvalid, EmptyData, IndexCollision, UnknownFeature, WidthMismatch,
+    ConfigInvalid, EmptyData, EmptySuite, IndexCollision, UnknownFeature, WidthMismatch,
 )
 from fairprobe.generators import (
     GeneratorSpec,
@@ -31,6 +31,7 @@ from fairprobe.generators import (
     _find_true_partners,
     _propose,
 )
+from fairprobe.metrics import idi_ratio
 from fairprobe.models import ModelConfig, ModelUnderTest, input_gradient
 
 
@@ -323,7 +324,7 @@ class TestBaseGenerator:
             demo_dataset.schema.index("gender"), 0, seed=1,
             domains=demo_dataset.domains,
         )
-        assert suite.unique_samples == [] and suite.idi_samples == []
+        assert suite.unique_samples.shape == (0, test_data.width) and suite.idi_samples == []
         assert suite.budget_reached
 
     def test_unique_and_bounded(self, demo_split, demo_lr, demo_dataset):
@@ -334,8 +335,9 @@ class TestBaseGenerator:
             domains=demo_dataset.domains,
         )
         assert len(suite.unique_samples) <= 500
-        assert len(set(suite.unique_samples)) == len(suite.unique_samples)
-        assert set(suite.idi_samples) <= set(suite.unique_samples)
+        samples = set(map(tuple, suite.unique_samples.tolist()))
+        assert len(samples) == len(suite.unique_samples)
+        assert set(suite.idi_samples) <= samples
 
     def test_same_seed_identical_suite(self, demo_split, demo_lr, demo_dataset):
         _, test_data = demo_split
@@ -343,7 +345,7 @@ class TestBaseGenerator:
         s_idx = demo_dataset.schema.index("gender")
         s1 = run_base_generator(spec, demo_lr, test_data, s_idx, 400, 7, domains=demo_dataset.domains)
         s2 = run_base_generator(spec, demo_lr, test_data, s_idx, 400, 7, domains=demo_dataset.domains)
-        assert s1.unique_samples == s2.unique_samples
+        assert np.array_equal(s1.unique_samples, s2.unique_samples)
         assert s1.idi_samples == s2.idi_samples
         assert s1.ledger == s2.ledger
 
@@ -403,7 +405,7 @@ class TestCausalFT:
     def test_reproducible_under_seed(self, demo_split, demo_lr, demo_dataset):
         s1 = self.make_suite(demo_split, demo_lr, demo_dataset, seed=21)
         s2 = self.make_suite(demo_split, demo_lr, demo_dataset, seed=21)
-        assert s1.unique_samples == s2.unique_samples
+        assert np.array_equal(s1.unique_samples, s2.unique_samples)
         assert s1.idi_samples == s2.idi_samples
         assert s1.ledger == s2.ledger
 
@@ -446,7 +448,7 @@ class TestCausalFT:
             300, 5, domains=demo_dataset.domains,
         )
         assert suite.used_fallback
-        assert suite.unique_samples == base.unique_samples
+        assert np.array_equal(suite.unique_samples, base.unique_samples)
 
     def test_guided_sg_lite_steps_on_many_features(self, demo_split, demo_lr, demo_dataset):
         """Guided steps pick their feature uniformly, so generated samples one
@@ -461,7 +463,7 @@ class TestCausalFT:
         )
         test_keys = set(map(tuple, test_data.rows.tolist()))
         shares, near = Counter(), 0
-        for sample in suite.unique_samples:
+        for sample in map(tuple, suite.unique_samples.tolist()):
             if sample in test_keys:
                 continue
             diff = test_data.rows != np.array(sample)
@@ -538,11 +540,42 @@ class TestEngineBytes:
             suite = run_base_generator(spec, demo_lr, test_data, s, 600, 5, domains=domains)
         assert suite.budget_reached and suite.true_pairs
         doc = [
-            suite.unique_samples,
+            suite.unique_samples.tolist(),
             [[pair.a, pair.b] for pair in suite.true_pairs],
             asdict(suite.ledger),
         ]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGESTS[kind, mode]
+
+
+class TestSuiteMatrix:
+    """A suite holds its samples as one C-contiguous (n, width) int64 matrix
+    of unique rows, and its IDI samples as the rows that are members of a
+    true pair, in the matrix's order."""
+
+    @pytest.mark.parametrize("budget", [0, 600])
+    @pytest.mark.parametrize("mode", ["base", "guided"])
+    @pytest.mark.parametrize("kind", ["random", "sg_lite", "adf_lite"])
+    def test_samples_are_one_matrix(self, kind, mode, budget, demo_split, demo_lr, demo_dataset):
+        _, test_data = demo_split
+        s = demo_dataset.schema.index("gender")
+        spec, domains = GeneratorSpec(kind=kind), demo_dataset.domains
+        if mode == "guided":
+            c = demo_dataset.schema.index("relationship")
+            suite = run_causalft(spec, demo_lr, test_data, s, c, budget, 5, domains=domains)
+        else:
+            suite = run_base_generator(spec, demo_lr, test_data, s, budget, 5, domains=domains)
+        samples = suite.unique_samples
+        assert isinstance(samples, np.ndarray) and samples.dtype == np.int64
+        assert samples.flags.c_contiguous and samples.shape == (budget, test_data.width)
+        rows = list(map(tuple, samples.tolist()))
+        assert len(set(rows)) == len(rows)
+        members = {m for pair in suite.true_pairs for m in (pair.a, pair.b)}
+        assert suite.idi_samples == [row for row in rows if row in members]
+        if budget:
+            assert suite.idi_samples and idi_ratio(suite) == len(suite.idi_samples) / budget
+        else:
+            with pytest.raises(EmptySuite):
+                idi_ratio(suite)
 
 
 class TestLabelQueries:

@@ -39,7 +39,7 @@ def make_samples(rows):
 def suite_of(n_samples, n_idi):
     samples = [(i, 0, 0) for i in range(n_samples)]
     return TestSuite(
-        unique_samples=samples,
+        unique_samples=np.array(samples, dtype=np.int64).reshape(-1, 3),
         idi_samples=samples[:n_idi],
         true_pairs=[],
         ledger=PairLedger(),
@@ -102,7 +102,7 @@ class TestIdiRatio:
     def test_order_invariant(self):
         suite = suite_of(8, 4)
         shuffled = TestSuite(
-            unique_samples=list(reversed(suite.unique_samples)),
+            unique_samples=suite.unique_samples[::-1].copy(),
             idi_samples=suite.idi_samples,
             true_pairs=[],
             ledger=PairLedger(),
@@ -218,7 +218,7 @@ class TestLabelInheritance:
         ds = from_arrays(test_rows, test_labels, schema)
         pair = Pair(a=(0, 4), b=(1, 4))
         suite = TestSuite(
-            unique_samples=[(0, 4), (1, 4)],
+            unique_samples=np.array([(0, 4), (1, 4)], dtype=np.int64),
             idi_samples=[(0, 4), (1, 4)],
             true_pairs=[pair],
             ledger=PairLedger(),

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import helpers
 from conftest import LR_CONFIG
 from helpers import domain_contains
 
 from fairprobe.data import Schema, from_arrays
-from fairprobe.generators import GeneratorSpec, Pair, PairLedger, TestSuite, run_causalft
-from fairprobe.metrics import GroupRule
+from fairprobe.generators import (
+    GeneratorSpec, Pair, PairLedger, TestSuite, run_base_generator, run_causalft,
+)
+from fairprobe.metrics import GroupRule, labeled_samples_from_suite
 from fairprobe.models import ModelConfig, ModelUnderTest, train
 from fairprobe.retrain import (
     augment_training_data,
@@ -36,7 +39,7 @@ def suite_with(pairs):
     for p in pairs:
         banked.extend([p.a, p.b])
     return TestSuite(
-        unique_samples=list(dict.fromkeys(banked)),
+        unique_samples=np.array(list(dict.fromkeys(banked)), dtype=np.int64).reshape(-1, 2),
         idi_samples=list(dict.fromkeys(banked)),
         true_pairs=list(pairs),
         ledger=PairLedger(),
@@ -115,6 +118,32 @@ class TestCorrectPairs:
         pair = Pair(a=(0, 3), b=(1, 3))
         out = correct_pairs(suite_with([pair, Pair(a=(1, 3), b=(0, 3))]), FLIP_MODEL, ds)
         assert len(out) == len(set(out))
+
+
+class TestTupleKeyedReference:
+    """`labeled_samples_from_suite` and `correct_pairs` look test rows up by
+    their `_row_keys` bytes; they return what the tuple-keyed versions they
+    replaced (tests/helpers.py) return, in order, on generated suites."""
+
+    @pytest.mark.parametrize("budget", [0, 800])
+    @pytest.mark.parametrize("mode", ["base", "guided"])
+    @pytest.mark.parametrize("kind", ["random", "sg_lite", "adf_lite"])
+    def test_byte_keyed_lookups_match(self, kind, mode, budget, demo_split, demo_lr, demo_dataset):
+        _, test_data = demo_split
+        s = demo_dataset.schema.index("gender")
+        spec, domains = GeneratorSpec(kind=kind), demo_dataset.domains
+        if mode == "guided":
+            c = demo_dataset.schema.index("relationship")
+            suite = run_causalft(spec, demo_lr, test_data, s, c, budget, 17, domains=domains)
+        else:
+            suite = run_base_generator(spec, demo_lr, test_data, s, budget, 17, domains=domains)
+        X, y = labeled_samples_from_suite(suite, test_data)
+        X_ref, y_ref = helpers.labeled_samples_from_suite(suite, test_data)
+        assert X.dtype == X_ref.dtype and np.array_equal(X, X_ref)
+        assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+        corrections = correct_pairs(suite, demo_lr, test_data)
+        assert corrections == helpers.correct_pairs(suite, demo_lr, test_data)
+        assert (len(X) > 0 and len(corrections) > 0) == (budget > 0)
 
 
 class TestAugment:
